@@ -16,9 +16,8 @@
 //! path. Successor computation is memoised per `(automaton, local cell
 //! row)`: a transition rule fires at most once per distinct local
 //! state, and replays are `u32` row copies. (Rules are required to be
-//! pure functions of the local state — the same assumption the
-//! layer-parallel engine and checkpoint/resume bit-identity already
-//! make.)
+//! pure functions of the local state — the same assumption
+//! checkpoint/resume bit-identity already makes.)
 //!
 //! Outgoing edges use a CSR encoding: `edges` is sorted by source (BFS
 //! emits it that way), and `out_off[i]..out_off[i + 1]` delimits state
@@ -353,117 +352,6 @@ impl Apa {
         }
         Ok(ReachGraph::from_decoded(
             states,
-            edges,
-            self.component_names.clone(),
-            symbols,
-        ))
-    }
-}
-
-impl Apa {
-    /// Computes the reachability graph with layer-synchronous parallel
-    /// successor expansion.
-    ///
-    /// Produces a graph identical to [`Apa::reachability`] (same state
-    /// numbering, same edge order): each BFS layer's successor sets are
-    /// computed in parallel, then merged in deterministic state order
-    /// through the same arena interner. `threads == 0` or `1` falls
-    /// back to the sequential kernel.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Apa::reachability`].
-    pub fn reachability_parallel(
-        &self,
-        options: &ReachOptions,
-        threads: usize,
-    ) -> Result<ReachGraph, ApaError> {
-        if threads <= 1 {
-            return self.reachability(options);
-        }
-        let width = self.component_count();
-        let mut cells = CellInterner::default();
-        let mut interner = StateInterner::new(width);
-        let mut edges: Vec<(usize, TransitionLabel, usize)> = Vec::new();
-        let mut symbols = SymbolTable::new();
-        let aut_syms: Vec<Symbol> = self.automaton_names().map(|n| symbols.intern(n)).collect();
-
-        // Workers need decoded states to fire rules on; keep a side
-        // vector of decoded states alongside the arena rows.
-        let mut decoded: Vec<GlobalState> = vec![self.initial_state().clone()];
-        let init_row: Vec<u32> = self.initial.iter().map(|set| cells.intern(set)).collect();
-        interner.intern(&init_row);
-        let mut next_row = vec![0u32; width];
-        let mut layer: Vec<usize> = vec![0];
-
-        while !layer.is_empty() {
-            // Parallel expansion: one result slot per layer state.
-            let chunk = layer.len().div_ceil(threads);
-            let mut results: Vec<Result<Vec<_>, ApaError>> = Vec::with_capacity(layer.len());
-            {
-                let states_ref = &decoded;
-                let layer_ref = &layer;
-                let mut collected: Vec<(usize, Result<Vec<_>, ApaError>)> =
-                    std::thread::scope(|scope| {
-                        let mut handles = Vec::new();
-                        for (c, chunk_states) in layer_ref.chunks(chunk).enumerate() {
-                            handles.push(scope.spawn(move || {
-                                let mut local = Vec::with_capacity(chunk_states.len());
-                                for &s in chunk_states {
-                                    local.push(self.successors(&states_ref[s]));
-                                }
-                                (c, local)
-                            }));
-                        }
-                        let mut parts: Vec<(usize, Vec<Result<Vec<_>, ApaError>>)> = handles
-                            .into_iter()
-                            .map(|h| h.join().expect("expansion worker panicked"))
-                            .collect();
-                        parts.sort_by_key(|(c, _)| *c);
-                        parts
-                            .into_iter()
-                            .flat_map(|(c, rs)| {
-                                rs.into_iter()
-                                    .enumerate()
-                                    .map(move |(i, r)| (c * chunk + i, r))
-                            })
-                            .collect()
-                    });
-                collected.sort_by_key(|(i, _)| *i);
-                results.extend(collected.into_iter().map(|(_, r)| r));
-            }
-            // Deterministic sequential merge.
-            let mut next_layer = Vec::new();
-            for (pos, result) in results.into_iter().enumerate() {
-                let s = layer[pos];
-                for (aut, interp, next) in result? {
-                    for (c, set) in next.iter().enumerate() {
-                        next_row[c] = cells.intern(set);
-                    }
-                    let (t, fresh) = interner.intern(&next_row);
-                    if fresh {
-                        if interner.len() > options.max_states {
-                            return Err(ApaError::StateLimitExceeded {
-                                limit: options.max_states,
-                            });
-                        }
-                        decoded.push(next);
-                        next_layer.push(t);
-                    }
-                    let label = TransitionLabel {
-                        automaton: aut_syms[aut.index()],
-                        interpretation: symbols.intern(&interp),
-                    };
-                    edges.push((s, label, t));
-                }
-            }
-            layer = next_layer;
-        }
-        Ok(ReachGraph::assemble(
-            cells.pool,
-            interner.rows,
-            width,
-            interner.len,
             edges,
             self.component_names.clone(),
             symbols,
@@ -978,14 +866,13 @@ mod tests {
     fn state_limit_boundary_is_exact() {
         // The diamond has exactly 4 reachable states: a limit of 4 must
         // succeed and a limit of 3 must fail, identically on the arena
-        // kernel, the reference engine and the parallel engine.
+        // kernel and the reference engine.
         let apa = diamond_apa();
         for (limit, ok) in [(4usize, true), (3, false)] {
             let opts = ReachOptions { max_states: limit };
             let outcomes = [
                 apa.reachability(&opts).map(|g| g.state_count()),
                 apa.reachability_reference(&opts).map(|g| g.state_count()),
-                apa.reachability_parallel(&opts, 4).map(|g| g.state_count()),
             ];
             for (i, got) in outcomes.into_iter().enumerate() {
                 if ok {
@@ -1150,47 +1037,6 @@ mod tests {
             let via_iter: Vec<usize> = g.outgoing(i).map(|(_, _, t)| t).collect();
             assert_eq!(via_csr, via_iter, "state {i}");
         }
-    }
-
-    #[test]
-    fn parallel_reachability_identical_to_sequential() {
-        // A wider model: 4 independent movers → 16 states.
-        let mut b = ApaBuilder::new();
-        for k in 0..4 {
-            let src = b.component(&format!("src{k}"), [Value::atom("x")]);
-            let dst = b.component(&format!("dst{k}"), []);
-            b.automaton(&format!("move{k}"), [src, dst], rule::move_any(0, 1));
-        }
-        let apa = b.build().unwrap();
-        let seq = apa.reachability(&ReachOptions::default()).unwrap();
-        let reference = apa
-            .reachability_reference(&ReachOptions::default())
-            .unwrap();
-        assert_graphs_identical(&seq, &reference);
-        for threads in [2, 3, 8] {
-            let par = apa
-                .reachability_parallel(&ReachOptions::default(), threads)
-                .unwrap();
-            assert_graphs_identical(&par, &seq);
-        }
-    }
-
-    #[test]
-    fn parallel_one_thread_falls_back() {
-        let apa = diamond_apa();
-        let g = apa
-            .reachability_parallel(&ReachOptions::default(), 1)
-            .unwrap();
-        assert_eq!(g.state_count(), 4);
-    }
-
-    #[test]
-    fn parallel_respects_state_limit() {
-        let apa = diamond_apa();
-        let err = apa
-            .reachability_parallel(&ReachOptions { max_states: 2 }, 4)
-            .unwrap_err();
-        assert_eq!(err, ApaError::StateLimitExceeded { limit: 2 });
     }
 
     #[test]

@@ -10,14 +10,12 @@
 //! stream holds 4 × 3015 ≈ 12 000 graphs and the O(n · classes) exact
 //! isomorphism scan needs tens of millions of backtracking checks —
 //! infeasible per iteration, which is exactly why the certificate
-//! engine exists. The certificate paths handle the same 4-vehicle
+//! engine exists. The certificate path handles the same 4-vehicle
 //! stream in a single hash pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsa_core::explore::{union_requirements_loop_free, ExploreOptions};
-use fsa_graph::iso::{
-    dedup_isomorphic, dedup_isomorphic_certified, dedup_isomorphic_certified_parallel,
-};
+use fsa_graph::iso::{dedup_isomorphic, dedup_isomorphic_certified};
 use fsa_graph::DiGraph;
 use std::hint::black_box;
 use vanet::exploration::{enumerate_scenario_instances, explore_scenario};
@@ -90,11 +88,6 @@ fn bench_exploration(c: &mut Criterion) {
             BenchmarkId::new("certificate_dedup", max_vehicles),
             &stream,
             |b, s| b.iter(|| black_box(dedup_isomorphic_certified(s.clone()))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("certificate_dedup_parallel", max_vehicles),
-            &stream,
-            |b, s| b.iter(|| black_box(dedup_isomorphic_certified_parallel(s.clone(), 4))),
         );
     }
 

@@ -56,39 +56,6 @@ fn bench_semantics_variants(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel(c: &mut Criterion) {
-    // Sequential vs. layer-parallel exploration on the 3-pair instance
-    // (1728 states with paper semantics).
-    let apa = n_pair_apa(3, ApaSemantics::PAPER).expect("valid model");
-    let mut group = c.benchmark_group("reachability_parallel");
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            black_box(
-                apa.reachability(black_box(&apa::ReachOptions::default()))
-                    .expect("bounded"),
-            )
-        })
-    });
-    for threads in [2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("parallel", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    black_box(
-                        apa.reachability_parallel(
-                            black_box(&apa::ReachOptions::default()),
-                            threads,
-                        )
-                        .expect("bounded"),
-                    )
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_arena_vs_reference(c: &mut Criterion) {
     // The arena/CSR kernel against the retained HashMap-of-GlobalState
     // oracle, both single-threaded on the six-vehicle (3-pair, 1728
@@ -119,7 +86,6 @@ criterion_group!(
     benches,
     bench_reachability,
     bench_semantics_variants,
-    bench_parallel,
     bench_arena_vs_reference
 );
 criterion_main!(benches);

@@ -1,18 +1,16 @@
-//! Supervisor overhead and checkpoint cost.
+//! Engine cost under the supervisor, and checkpoint cost.
 //!
-//! The supervised execution layer (PR 4) must be effectively free when
-//! nothing goes wrong: the `catch_unwind` + work-stealing harness adds
-//! per-chunk bookkeeping, and the acceptance bar is **< 3 % overhead**
-//! over the plain engines on the 3-vehicle exploration. The checkpoint
+//! Every engine fans out through `Supervisor::run_chunks`, so one row
+//! per engine prices the `catch_unwind` + work-stealing harness as it
+//! ships: the 3-vehicle exploration and an 8×512 fleet. The checkpoint
 //! benches price one atomic snapshot write/read round-trip so the
 //! `--checkpoint-every` default can be chosen against real numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fsa_core::checkpoint::{config_fingerprint, CheckpointCounters, ExploreCheckpoint};
-use fsa_core::explore::{ExecOptions, ExploreOptions};
-use fsa_exec::Supervisor;
+use fsa_core::explore::ExploreOptions;
 use std::hint::black_box;
-use vanet::exploration::{explore_scenario, explore_scenario_supervised};
+use vanet::exploration::explore_scenario;
 
 fn bench_supervisor_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("resilience");
@@ -22,14 +20,8 @@ fn bench_supervisor_overhead(c: &mut Criterion) {
             threads,
             ..ExploreOptions::default()
         };
-        group.bench_function(format!("explore_plain_3v_t{threads}"), |b| {
+        group.bench_function(format!("explore_3v_t{threads}"), |b| {
             b.iter(|| black_box(explore_scenario(3, black_box(&options)).unwrap()))
-        });
-        group.bench_function(format!("explore_supervised_3v_t{threads}"), |b| {
-            let exec = ExecOptions::default();
-            b.iter(|| {
-                black_box(explore_scenario_supervised(3, black_box(&options), &exec).unwrap())
-            })
         });
     }
     group.finish();
@@ -38,7 +30,7 @@ fn bench_supervisor_overhead(c: &mut Criterion) {
 fn bench_fleet_overhead(c: &mut Criterion) {
     use fsa_core::requirements::AuthRequirement;
     use fsa_core::{Action, Agent};
-    use fsa_runtime::{monitor_apa, monitor_apa_supervised, FleetConfig};
+    use fsa_runtime::{monitor_apa, FleetConfig};
     let apa = vanet::forwarding::forwarding_chain_apa().expect("valid model");
     let set: fsa_core::requirements::RequirementSet = [AuthRequirement::new(
         Action::parse("V1_sense"),
@@ -54,12 +46,8 @@ fn bench_fleet_overhead(c: &mut Criterion) {
         ..FleetConfig::default()
     };
     let mut group = c.benchmark_group("resilience");
-    group.bench_function("fleet_plain_8x512_t4", |b| {
+    group.bench_function("fleet_8x512_t4", |b| {
         b.iter(|| black_box(monitor_apa(&apa, &set, black_box(&cfg)).unwrap()))
-    });
-    group.bench_function("fleet_supervised_8x512_t4", |b| {
-        let sup = Supervisor::new();
-        b.iter(|| black_box(monitor_apa_supervised(&apa, &set, black_box(&cfg), &sup).unwrap()))
     });
     group.finish();
 }

@@ -23,7 +23,9 @@ use crate::requirements::{AuthRequirement, RequirementSet};
 use apa::ReachGraph;
 use automata::temporal::PrecedenceIndex;
 use automata::{ops, temporal, Dfa, Homomorphism, Nfa, Symbol};
+use fsa_exec::Supervisor;
 use fsa_obs::Obs;
+use std::convert::Infallible;
 use std::time::Duration;
 
 /// The decision procedure for functional dependence of a (max, min)
@@ -446,29 +448,9 @@ pub fn elicit_observed(
     let span = obs.span("elicit.pair_eval");
     let threads = options.threads.max(1);
     stats.threads = threads;
-    let verdicts: Vec<PairVerdict> = if threads == 1 || pairs.len() < 2 {
-        pairs.iter().zip(pruned.iter()).map(eval_pair).collect()
-    } else {
-        // Chunked fork-join over the grid; the merge walks chunks in
-        // order, so the verdict vector is identical to the sequential
-        // one for every thread count.
-        let chunk = pairs.len().div_ceil(threads);
-        let pair_chunks: Vec<_> = pairs.chunks(chunk).collect();
-        let pruned_chunks: Vec<_> = pruned.chunks(chunk).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = pair_chunks
-                .iter()
-                .zip(pruned_chunks.iter())
-                .map(|(ps, fs)| {
-                    scope.spawn(|| ps.iter().zip(fs.iter()).map(eval_pair).collect::<Vec<_>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("pair worker panicked"))
-                .collect()
-        })
-    };
+    let verdicts: Vec<PairVerdict> = grid_map("elicit:pairs", pairs.len(), threads, |i| {
+        eval_pair((&pairs[i], &pruned[i]))
+    });
     stats.pair_eval = span.finish();
 
     if obs.is_enabled() {
@@ -490,6 +472,33 @@ pub fn elicit_observed(
         requirements,
         stats,
     }
+}
+
+/// Evaluates `eval(0..len)` as `threads` contiguous chunks on a
+/// fail-fast [`Supervisor`], concatenated in index order — the result is
+/// identical for every thread count. The dependence grids return no
+/// `Result`, so a panicking chunk is re-raised here.
+pub(crate) fn grid_map<T: Send>(
+    stage: &str,
+    len: usize,
+    threads: usize,
+    eval: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let chunk = len.div_ceil(threads.max(1)).max(1);
+    let outcome = Supervisor::fail_fast()
+        .run_chunks::<Vec<T>, Infallible, _>(stage, threads, len.div_ceil(chunk), |c| {
+            Ok((c * chunk..((c + 1) * chunk).min(len)).map(&eval).collect())
+        })
+        .unwrap_or_else(|never| match never {});
+    if !outcome.is_complete() {
+        let failure = outcome.failures.first().map(ToString::to_string);
+        panic!("pair worker panicked: {}", failure.unwrap_or_default());
+    }
+    let mut out = Vec::with_capacity(len);
+    for part in outcome.into_values() {
+        out.extend(part);
+    }
+    out
 }
 
 #[cfg(test)]

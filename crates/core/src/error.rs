@@ -30,11 +30,12 @@ pub enum FsaError {
         /// The configured budget that was exceeded.
         limit: usize,
     },
-    /// A parallel worker panicked in a *non-supervised* engine path.
-    /// The supervised execution layer ([`crate::explore`]'s
-    /// `enumerate_instances_supervised`) subsumes this by quarantining
-    /// and retrying the chunk instead; the variant remains the
-    /// fallback for the plain fork-join entry points.
+    /// A chunk panicked where no partial result may be returned: under
+    /// the fail-fast supervisor of the plain entry points
+    /// (`enumerate_instances_with_stats`, `union_requirements_loop_free`),
+    /// or in a subset scan, whose vector cannot be accepted in part.
+    /// `enumerate_instances_supervised` quarantines and retries build
+    /// chunks instead.
     WorkerPanicked {
         /// Engine stage (e.g. `explore:scan`, `explore:build`,
         /// `explore:union`).

@@ -11,8 +11,9 @@
 //! instances (up to per-model multiplicity bounds) and every subset of
 //! the external flows allowed by the [`ConnectionRule`]s, de-duplicates
 //! the results up to isomorphism of their shape graphs, and optionally
-//! keeps only weakly connected compositions. [`union_requirements`]
-//! elicits and unions the requirement sets.
+//! keeps only weakly connected compositions.
+//! [`union_requirements_loop_free`] elicits and unions the requirement
+//! sets.
 //!
 //! # The streaming certificate engine
 //!
@@ -25,26 +26,29 @@
 //! Flow subsets are additionally enumerated up to *copy-permutation
 //! symmetry* — copies of one component model are interchangeable, so a
 //! whole orbit of subsets is skipped once its minimal representative has
-//! been instantiated. Candidate building and certificate computation run
-//! on `ExploreOptions::threads` scoped worker threads; the merged result
-//! is bit-identical for every thread count.
+//! been instantiated. The subset scan, candidate building and the union
+//! fan out over `ExploreOptions::threads` workers; the merged result is
+//! bit-identical for every thread count.
 //!
-//! # The supervised engine
+//! # One engine, two entry points
 //!
-//! [`enumerate_instances_supervised`] runs the same enumeration under
-//! the [`fsa_exec`] execution layer: candidate builds are
-//! panic-isolated and retried per [`fsa_exec::RetryPolicy`] (exhausted
-//! chunks are *quarantined*, not fatal), cooperative cancellation
-//! ([`fsa_exec::CancelToken`] — deadlines included) degrades the run to
-//! a partial result with explicit coverage accounting
-//! ([`ExploreStats::vectors_completed`] / [`ExploreStats::vectors_total`]),
-//! and [`ExecOptions::checkpoint`] / [`ExecOptions::resume`] persist and
-//! restore progress through the versioned, checksummed snapshot format
-//! of [`crate::checkpoint`]. A resumed run is bit-identical to an
-//! uninterrupted one — for every interruption point and every thread
-//! count. When nothing panics, nothing is cancelled and nothing is
-//! resumed, the supervised engine's instances are bit-identical to
-//! [`enumerate_instances_with_stats`].
+//! Every stage runs through [`fsa_exec::Supervisor::run_chunks`].
+//! [`enumerate_instances_supervised`] exposes the execution policy:
+//! candidate builds are panic-isolated and retried per
+//! [`fsa_exec::RetryPolicy`] (exhausted chunks are *quarantined*, not
+//! fatal), cooperative cancellation ([`fsa_exec::CancelToken`] —
+//! deadlines included) degrades the run to a partial result with
+//! explicit coverage accounting ([`ExploreStats::vectors_completed`] /
+//! [`ExploreStats::vectors_total`]), and [`ExecOptions::checkpoint`] /
+//! [`ExecOptions::resume`] persist and restore progress through the
+//! versioned, checksummed snapshot format of [`crate::checkpoint`]. A
+//! resumed run is bit-identical to an uninterrupted one — for every
+//! interruption point and every thread count.
+//!
+//! [`enumerate_instances_with_stats`] and [`union_requirements_loop_free`]
+//! run the same engine under [`Supervisor::fail_fast`]: a panicking
+//! chunk is never retried and never yields a partial result — it is
+//! reported as [`FsaError::WorkerPanicked`] naming the stage and chunk.
 
 use crate::certcache::{CertCache, CertSection};
 use crate::checkpoint::{config_fingerprint, CheckpointCounters, ExploreCheckpoint};
@@ -53,11 +57,12 @@ use crate::error::FsaError;
 use crate::instance::{SosInstance, SosInstanceBuilder};
 use crate::manual::{elicit, ElicitationReport};
 use crate::requirements::RequirementSet;
-use fsa_exec::{CancelToken, ChunkFailure, Supervisor};
+use fsa_exec::{ChunkFailure, Outcome, Supervisor};
 use fsa_graph::iso::{canonical_certificate, Certificate, CertifiedClasses};
 use fsa_graph::{DiGraph, NodeId};
 use fsa_obs::Obs;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// An allowed external flow: an output action of one component model
@@ -174,23 +179,26 @@ pub struct ExploreOptions {
     pub max_candidates: usize,
     /// What happens when `max_candidates` is exceeded.
     pub on_budget: BudgetPolicy,
-    /// Worker threads for candidate building and certificate
-    /// computation. Results are bit-identical for every thread count.
+    /// Worker threads for the subset scan, candidate building and
+    /// certificate computation. Results are bit-identical for every
+    /// thread count.
     pub threads: usize,
-    /// Observability handle used by the **legacy** engine
-    /// ([`enumerate_instances_with_stats`]); the supervised engine uses
-    /// the handle of its [`Supervisor`] (`exec.supervisor.obs`). The
+    /// The engine's span and counter handle: the `explore` root span,
+    /// its `explore.scan` / `explore.build` / `explore.dedup` children,
+    /// the checkpoint spans and the mirrored `explore.*` counters all
+    /// go here, whichever entry point runs the engine. The
+    /// [`Supervisor`]'s own handle records only its `supervisor.*`
+    /// series; point both at one registry for a unified trace. The
     /// default ([`Obs::disabled`]) records nothing; enabling it never
     /// changes the enumerated instances or the stats values.
     pub obs: Obs,
-    /// Restrict the **supervised** engine to one shard of the
-    /// multiplicity space (`None` = the whole universe). Sharded runs
-    /// enumerate exactly the `(ordinal, mask)` pairs whose ordinal lies
-    /// in the range; per-shard `accepted` logs merged in canonical
-    /// order by [`merge_accepted`] reproduce the unsharded result
-    /// bit-identically. The legacy engine and
-    /// [`BudgetPolicy::Truncate`] reject sharded options
-    /// ([`FsaError::InvalidShard`]).
+    /// Restrict the engine to one shard of the multiplicity space
+    /// (`None` = the whole universe). Sharded runs enumerate exactly the
+    /// `(ordinal, mask)` pairs whose ordinal lies in the range;
+    /// per-shard `accepted` logs merged in canonical order by
+    /// [`merge_accepted`] reproduce the unsharded result
+    /// bit-identically. [`BudgetPolicy::Truncate`] rejects sharded
+    /// options ([`FsaError::InvalidShard`]).
     pub shard: Option<ShardRange>,
     /// Cross-run certificate cache file (see [`crate::certcache`]).
     /// When set, candidates landing in buckets whose recorded census
@@ -234,7 +242,8 @@ pub struct CheckpointSpec {
 
 /// Execution policy of [`enumerate_instances_supervised`]: supervision
 /// (retry/backoff, cancellation, chaos hooks), batch granularity, and
-/// checkpoint/resume.
+/// checkpoint/resume. [`enumerate_instances_with_stats`] runs the
+/// default batch under [`Supervisor::fail_fast`], without checkpoints.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Panic isolation, retry/backoff and cancellation policy. The
@@ -293,23 +302,24 @@ pub struct ExploreStats {
     pub truncated: bool,
     /// Worker threads used.
     pub threads: usize,
-    /// Non-empty multiplicity vectors in the whole enumeration space
-    /// (supervised engine only; `0` in the legacy engine). Together
-    /// with [`ExploreStats::vectors_completed`] this is the coverage
+    /// Non-empty multiplicity vectors in the run's enumeration space
+    /// (its shard, when sharded). Together with
+    /// [`ExploreStats::vectors_completed`] this is the coverage
     /// accounting of a partial (cancelled) run.
     pub vectors_total: usize,
-    /// Multiplicity vectors fully processed (supervised engine only).
+    /// Multiplicity vectors fully processed.
     pub vectors_completed: usize,
     /// Candidate compositions actually built. Differs from
     /// [`ExploreStats::candidates`] on a cancelled run: `candidates`
     /// counts canonical masks the moment a vector is scanned, while
     /// pending masks of an interrupted vector are not yet built.
     pub candidates_built: usize,
-    /// Build chunks quarantined after exhausting their panic retries
-    /// (supervised engine only). A non-zero value means the coverage is
-    /// incomplete even if nothing was cancelled.
+    /// Build chunks quarantined after exhausting their panic retries.
+    /// A non-zero value means the coverage is incomplete even if
+    /// nothing was cancelled; [`enumerate_instances_with_stats`] fails
+    /// instead, so it is always `0` there.
     pub failures: usize,
-    /// Panicking chunk attempts that were retried (supervised engine).
+    /// Panicking chunk attempts that were retried.
     pub retries: u64,
     /// `true` if the run stopped early at a cancellation point
     /// (deadline expiry or manual cancel) and the result is a partial
@@ -323,7 +333,7 @@ pub struct ExploreStats {
     /// representatives.
     pub scan_time: Duration,
     /// Time spent instantiating candidates and computing certificates
-    /// (parallel phase).
+    /// (the fanned-out build batches).
     pub build_time: Duration,
     /// Time spent inserting candidates into the certificate class map.
     pub dedup_time: Duration,
@@ -490,10 +500,9 @@ pub struct Exploration {
     /// Per-stage statistics.
     pub stats: ExploreStats,
     /// The accepted `(vector ordinal, flow-subset mask)` decision log
-    /// in discovery order — one entry per instance (**supervised
-    /// engine only**; the legacy engine leaves it empty). This is the
-    /// same log the checkpoint format persists; a distributed
-    /// coordinator merges per-shard logs with [`merge_accepted`].
+    /// in discovery order — one entry per instance. This is the same
+    /// log the checkpoint format persists; a distributed coordinator
+    /// merges per-shard logs with [`merge_accepted`].
     pub accepted: Vec<(u64, u64)>,
 }
 
@@ -583,95 +592,26 @@ fn save_cert_cache(
     cache.save(path)
 }
 
-/// Like [`enumerate_instances`], but also returns [`ExploreStats`].
+/// Like [`enumerate_instances`], but also returns [`ExploreStats`]:
+/// the engine of [`enumerate_instances_supervised`] under
+/// [`Supervisor::fail_fast`], with the default batch and no
+/// checkpoints.
 ///
 /// # Errors
 ///
-/// See [`enumerate_instances`].
+/// See [`enumerate_instances`], plus [`FsaError::WorkerPanicked`] when a
+/// chunk panics (it is never retried, and no partial result is
+/// returned).
 pub fn enumerate_instances_with_stats(
     models: &[(ComponentModel, usize)],
     rules: &[ConnectionRule],
     options: &ExploreOptions,
 ) -> Result<Exploration, FsaError> {
-    if let Some(shard) = options.shard {
-        return Err(FsaError::InvalidShard {
-            reason: format!(
-                "shard {shard} requires the supervised engine \
-                 (enumerate_instances_supervised)"
-            ),
-        });
-    }
-    for (m, _) in models {
-        m.validate()?;
-    }
-    let run = options.obs.span("explore");
-    let resolved = resolve_rules(models, rules)?;
-
-    let threads = options.threads.max(1);
-    let mut stats = ExploreStats {
-        threads,
-        ..ExploreStats::default()
+    let exec = ExecOptions {
+        supervisor: Supervisor::fail_fast(),
+        ..ExecOptions::default()
     };
-    let mut classes: CertifiedClasses<String> = CertifiedClasses::new();
-    let mut instances: Vec<SosInstance> = Vec::new();
-    let fingerprint = config_fingerprint(models, rules, options);
-    let cert_cache = load_cert_cache(options, fingerprint)?;
-    let trusted = cert_cache.as_ref().and_then(|(_, _, t)| t.as_ref());
-    stats.cert_cache_entries = trusted.map_or(0, CertSection::len);
-
-    // Enumerate multiplicities: the cartesian product of 0..=max per
-    // model, skipping the empty composition.
-    let mut counts = vec![0usize; models.len()];
-    'vectors: loop {
-        if counts.iter().sum::<usize>() > 0 {
-            stats.multiplicity_vectors += 1;
-            let done = explore_vector(
-                models,
-                &resolved,
-                &counts,
-                options,
-                threads,
-                trusted,
-                &mut stats,
-                &mut classes,
-                &mut instances,
-            )?;
-            if done {
-                // Budget truncation: return the deduped partial
-                // universe explored so far.
-                break 'vectors;
-            }
-        }
-        let mut i = 0;
-        loop {
-            if i == models.len() {
-                break 'vectors;
-            }
-            counts[i] += 1;
-            if counts[i] <= models[i].1 {
-                break;
-            }
-            counts[i] = 0;
-            i += 1;
-        }
-    }
-
-    stats.classes = instances.len();
-    stats.certificate_hits = classes.certificate_hits();
-    stats.exact_iso_fallbacks = classes.exact_fallbacks();
-    stats.cert_cache_skips = classes.trusted_skips();
-    if let Some((path, cache, _)) = cert_cache {
-        // The legacy engine only reaches this point with full (or
-        // deterministically truncated) coverage — errors bailed above.
-        save_cert_cache(&path, cache, fingerprint, &classes)?;
-    }
-    drop(run);
-    stats.mirror_counters(&options.obs);
-    Ok(Exploration {
-        instances,
-        stats,
-        accepted: Vec::new(),
-    })
+    explore_engine(models, rules, options, &exec, true)
 }
 
 /// Odometer over the non-empty multiplicity vectors (`0..=max` per
@@ -863,26 +803,48 @@ fn write_explore_checkpoint(
     Ok(())
 }
 
-/// Like [`enumerate_instances_with_stats`], executed under the
-/// supervised layer: panic-isolated retried candidate builds,
-/// cooperative cancellation with coverage accounting, and
-/// checkpoint/resume (see [`ExecOptions`] and the module docs).
+/// The enumeration engine under an explicit execution policy:
+/// panic-isolated retried candidate builds, cooperative cancellation
+/// with coverage accounting, and checkpoint/resume (see [`ExecOptions`]
+/// and the module docs).
 ///
 /// # Errors
 ///
-/// Everything [`enumerate_instances_with_stats`] reports, plus
+/// Everything [`enumerate_instances`] reports, plus
 /// [`FsaError::CorruptCheckpoint`] for unreadable, tampered,
-/// version-skewed or configuration-mismatched resume files.
+/// version-skewed or configuration-mismatched resume files, and
+/// [`FsaError::WorkerPanicked`] when a scan chunk is quarantined (a
+/// vector's canonical subsets cannot be accepted in part).
 pub fn enumerate_instances_supervised(
     models: &[(ComponentModel, usize)],
     rules: &[ConnectionRule],
     options: &ExploreOptions,
     exec: &ExecOptions,
 ) -> Result<Exploration, FsaError> {
+    explore_engine(models, rules, options, exec, false)
+}
+
+/// The error of a fail-closed stage whose outcome is incomplete.
+fn stage_failed<T>(stage: &'static str, outcome: &Outcome<T>) -> FsaError {
+    FsaError::WorkerPanicked {
+        stage,
+        chunk: outcome.first_missing().unwrap_or(outcome.chunks_total),
+    }
+}
+
+/// The one enumeration engine. `fail_closed` turns a quarantined build
+/// chunk into [`FsaError::WorkerPanicked`] instead of a coverage gap.
+fn explore_engine(
+    models: &[(ComponentModel, usize)],
+    rules: &[ConnectionRule],
+    options: &ExploreOptions,
+    exec: &ExecOptions,
+    fail_closed: bool,
+) -> Result<Exploration, FsaError> {
     for (m, _) in models {
         m.validate()?;
     }
-    let obs = exec.supervisor.obs.clone();
+    let obs = options.obs.clone();
     let run = obs.span("explore");
     let resolved = resolve_rules(models, rules)?;
     let threads = options.threads.max(1);
@@ -1008,6 +970,9 @@ pub fn enumerate_instances_supervised(
     let mut fallbacks_offset = 0i64;
     let mut built_since_ckpt = 0usize;
     let cancel = exec.supervisor.cancel.clone();
+    // Where a cancelled run stopped: the vector ordinal and its masks
+    // not yet built.
+    let mut cut: Option<(u64, Vec<usize>)> = None;
 
     'vectors: for (ordinal, counts) in VectorIter::new(&maxes).enumerate() {
         let ordinal64 = ordinal as u64;
@@ -1089,21 +1054,7 @@ pub fn enumerate_instances_supervised(
                 break 'vectors;
             }
             if cancel.is_cancelled() {
-                stats.cancelled = true;
-                if let Some(spec) = &exec.checkpoint {
-                    write_explore_checkpoint(
-                        spec,
-                        fingerprint,
-                        ordinal64,
-                        &[],
-                        &accepted,
-                        &mut stats,
-                        &classes,
-                        hits_offset,
-                        fallbacks_offset,
-                        &obs,
-                    )?;
-                }
+                cut = Some((ordinal64, Vec::new()));
                 break 'vectors;
             }
             let span = obs.span("explore.scan");
@@ -1111,27 +1062,12 @@ pub fn enumerate_instances_supervised(
                 &resolved,
                 &counts,
                 options,
-                threads,
                 stats.candidates,
-                Some(&cancel),
+                &exec.supervisor,
             )?;
             stats.scan_time += span.finish();
             if scan.cancelled {
-                stats.cancelled = true;
-                if let Some(spec) = &exec.checkpoint {
-                    write_explore_checkpoint(
-                        spec,
-                        fingerprint,
-                        ordinal64,
-                        &[],
-                        &accepted,
-                        &mut stats,
-                        &classes,
-                        hits_offset,
-                        fallbacks_offset,
-                        &obs,
-                    )?;
-                }
+                cut = Some((ordinal64, Vec::new()));
                 break 'vectors;
             }
             stats.multiplicity_vectors += 1;
@@ -1156,21 +1092,7 @@ pub fn enumerate_instances_supervised(
         let mut idx = 0usize;
         while idx < masks.len() {
             if cancel.is_cancelled() {
-                stats.cancelled = true;
-                if let Some(spec) = &exec.checkpoint {
-                    write_explore_checkpoint(
-                        spec,
-                        fingerprint,
-                        ordinal64,
-                        &masks[idx..],
-                        &accepted,
-                        &mut stats,
-                        &classes,
-                        hits_offset,
-                        fallbacks_offset,
-                        &obs,
-                    )?;
-                }
+                cut = Some((ordinal64, masks[idx..].to_vec()));
                 break 'vectors;
             }
             let hi = (idx + batch).min(masks.len());
@@ -1184,24 +1106,13 @@ pub fn enumerate_instances_supervised(
             )?;
             stats.build_time += span.finish();
             stats.retries += outcome.retries;
+            if fail_closed && !outcome.is_complete() {
+                return Err(stage_failed("explore:build", &outcome));
+            }
             if outcome.cancelled {
                 // Drop the partial batch: the resumed run redoes it
                 // whole, keeping the class-map stream deterministic.
-                stats.cancelled = true;
-                if let Some(spec) = &exec.checkpoint {
-                    write_explore_checkpoint(
-                        spec,
-                        fingerprint,
-                        ordinal64,
-                        &masks[idx..],
-                        &accepted,
-                        &mut stats,
-                        &classes,
-                        hits_offset,
-                        fallbacks_offset,
-                        &obs,
-                    )?;
-                }
+                cut = Some((ordinal64, masks[idx..].to_vec()));
                 break 'vectors;
             }
             stats.failures += outcome.failures.len();
@@ -1282,23 +1193,24 @@ pub fn enumerate_instances_supervised(
             "exact-isomorphism-fallback",
         )?;
     }
-    if !stats.cancelled {
-        // Completed (or truncated) run: leave a final boundary
-        // checkpoint so resuming from it is an idempotent no-op.
-        if let Some(spec) = &exec.checkpoint {
-            write_explore_checkpoint(
-                spec,
-                fingerprint,
-                next_ordinal,
-                &[],
-                &accepted,
-                &mut stats,
-                &classes,
-                hits_offset,
-                fallbacks_offset,
-                &obs,
-            )?;
-        }
+    stats.cancelled = cut.is_some();
+    if let Some(spec) = &exec.checkpoint {
+        // A cancelled run records where it was cut; a completed (or
+        // truncated) one leaves a final boundary checkpoint, so
+        // resuming from it is an idempotent no-op.
+        let (ordinal, pending) = cut.unwrap_or((next_ordinal, Vec::new()));
+        write_explore_checkpoint(
+            spec,
+            fingerprint,
+            ordinal,
+            &pending,
+            &accepted,
+            &mut stats,
+            &classes,
+            hits_offset,
+            fallbacks_offset,
+            &obs,
+        )?;
     }
     stats.classes = instances.len();
     stats.certificate_hits =
@@ -1474,12 +1386,6 @@ struct FlowCandidate {
 /// One built candidate: instance, shape graph, certificate.
 type Built = (SosInstance, DiGraph<String>, u64);
 
-/// Per-worker join results of a chunked `thread::scope`: the outer
-/// `Err(chunk)` marks a panicked worker (reported as
-/// [`FsaError::WorkerPanicked`]); the inner `Result` carries the
-/// chunk's own outcome.
-type JoinedChunks<T> = Vec<Result<Result<T, FsaError>, usize>>;
-
 /// Candidate external flows of one multiplicity vector: for each rule,
 /// each ordered pair of distinct instances of the involved models.
 fn flow_candidates(rules: &[ResolvedRule], counts: &[usize]) -> Vec<FlowCandidate> {
@@ -1514,19 +1420,22 @@ struct VectorScan {
     cancelled: bool,
 }
 
-/// How often the sequential scan loops peek at the cancellation token.
+/// Flow-subset masks per scan chunk: the granularity of the scan's
+/// cancellation checks and of its fan-out.
 const SCAN_CANCEL_STRIDE: usize = 4096;
 
 /// Scans the flow subsets of one multiplicity vector for orbit-minimal
-/// representatives, applying the candidate budget. Shared by the legacy
-/// and the supervised engine; `cancel` is `None` in the legacy path.
+/// representatives, applying the candidate budget. The scan runs as
+/// `SCAN_CANCEL_STRIDE`-mask chunks on `supervisor` (merged in ascending
+/// mask order); a cancelled scan abandons the vector. The budget-capped
+/// early-stop scan of [`BudgetPolicy::Truncate`] stays sequential and
+/// checks the token at the same stride.
 fn scan_vector(
     rules: &[ResolvedRule],
     counts: &[usize],
     options: &ExploreOptions,
-    threads: usize,
     candidates_so_far: usize,
-    cancel: Option<&CancelToken>,
+    supervisor: &Supervisor,
 ) -> Result<VectorScan, FsaError> {
     let flows = flow_candidates(rules, counts);
     let subsets: usize = 1usize
@@ -1549,10 +1458,6 @@ fn scan_vector(
         truncated: false,
         cancelled: true,
     };
-    let peek = |mask: usize| {
-        mask.is_multiple_of(SCAN_CANCEL_STRIDE)
-            && cancel.is_some_and(CancelToken::is_cancelled_peek)
-    };
 
     // Orbit-minimal flow subsets. Every canonical subset counts against
     // the candidate budget; a provably exceeded budget short-circuits
@@ -1573,7 +1478,9 @@ fn scan_vector(
                 truncated = true;
                 let mut picked = Vec::with_capacity(remaining);
                 for mask in 0..subsets {
-                    if peek(mask) {
+                    if mask.is_multiple_of(SCAN_CANCEL_STRIDE)
+                        && supervisor.cancel.is_cancelled_peek()
+                    {
                         return Ok(abandoned(flows));
                     }
                     if is_orbit_minimal(mask, &flow_perms) {
@@ -1588,57 +1495,27 @@ fn scan_vector(
                 picked
             }
         }
-    } else if threads > 1 && subsets >= 4096 {
-        // Chunked parallel scan, merged in ascending mask order. Every
-        // worker is joined before the first panic is reported, so a
-        // second panicking chunk cannot double-panic the scope.
-        let chunk = subsets.div_ceil(threads);
-        let ranges: Vec<(usize, usize)> = (0..threads)
-            .map(|i| (i * chunk, ((i + 1) * chunk).min(subsets)))
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        let per_range: Vec<Result<Vec<usize>, usize>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|&(lo, hi)| {
-                    let flow_perms = &flow_perms;
-                    scope.spawn(move || {
-                        (lo..hi)
-                            .filter(|&mask| is_orbit_minimal(mask, flow_perms))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(i, h)| h.join().map_err(|_| i))
-                .collect()
-        });
-        let mut merged = Vec::new();
-        for range in per_range {
-            match range {
-                Ok(masks) => merged.extend(masks),
-                Err(chunk) => {
-                    return Err(FsaError::WorkerPanicked {
-                        stage: "explore:scan",
-                        chunk,
-                    })
-                }
-            }
-        }
-        merged
     } else {
-        let mut picked = Vec::new();
-        for mask in 0..subsets {
-            if peek(mask) {
-                return Ok(abandoned(flows));
-            }
-            if is_orbit_minimal(mask, &flow_perms) {
-                picked.push(mask);
-            }
+        let outcome = supervisor.run_chunks::<Vec<usize>, FsaError, _>(
+            "explore:scan",
+            options.threads,
+            subsets.div_ceil(SCAN_CANCEL_STRIDE),
+            |block| {
+                let lo = block * SCAN_CANCEL_STRIDE;
+                let hi = (lo + SCAN_CANCEL_STRIDE).min(subsets);
+                Ok((lo..hi)
+                    .filter(|&mask| is_orbit_minimal(mask, &flow_perms))
+                    .collect())
+            },
+        )?;
+        if !outcome.failures.is_empty() {
+            // A vector's canonical subsets cannot be accepted in part.
+            return Err(stage_failed("explore:scan", &outcome));
         }
-        picked
+        if !outcome.is_complete() {
+            return Ok(abandoned(flows));
+        }
+        outcome.into_values().concat()
     };
     if !truncated {
         orbits_skipped += subsets - canonical.len();
@@ -1683,108 +1560,6 @@ fn build_candidate(
     let shape = instance.shape_graph();
     let certificate = canonical_certificate(&shape);
     Ok(Some((instance, shape, certificate)))
-}
-
-/// Explores every flow subset of one multiplicity vector, streaming the
-/// candidates into the certificate class map. Returns `true` if the
-/// enumeration was truncated (caller stops).
-#[allow(clippy::too_many_arguments)]
-fn explore_vector(
-    models: &[(ComponentModel, usize)],
-    rules: &[ResolvedRule],
-    counts: &[usize],
-    options: &ExploreOptions,
-    threads: usize,
-    trusted: Option<&CertSection>,
-    stats: &mut ExploreStats,
-    classes: &mut CertifiedClasses<String>,
-    instances: &mut Vec<SosInstance>,
-) -> Result<bool, FsaError> {
-    let span = options.obs.span("explore.scan");
-    let scan = scan_vector(rules, counts, options, threads, stats.candidates, None)?;
-    stats.scan_time += span.finish();
-    stats.subsets_total += scan.subsets;
-    stats.orbits_skipped += scan.orbits_skipped;
-    stats.candidates += scan.canonical.len();
-    let VectorScan {
-        flows,
-        canonical,
-        truncated,
-        ..
-    } = scan;
-
-    // Instantiate the canonical subsets (chunked parallel) and compute
-    // their shape-graph certificates; merge in mask order so the stream
-    // into the class map is bit-identical for every thread count.
-    let span = options.obs.span("explore.build");
-    let build = |mask: usize| -> Result<Option<Built>, FsaError> {
-        build_candidate(
-            models,
-            rules,
-            counts,
-            &flows,
-            mask,
-            options.require_connected,
-        )
-    };
-    let built: Vec<Option<Built>> = if threads > 1 && canonical.len() >= 2 {
-        let chunk = canonical.len().div_ceil(threads);
-        let joined: JoinedChunks<Vec<Option<Built>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = canonical
-                .chunks(chunk)
-                .map(|masks| {
-                    let build = &build;
-                    scope.spawn(move || {
-                        masks
-                            .iter()
-                            .map(|&m| build(m))
-                            .collect::<Result<Vec<_>, _>>()
-                    })
-                })
-                .collect();
-            // Join every worker before reporting the first panic.
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(i, h)| h.join().map_err(|_| i))
-                .collect()
-        });
-        let mut merged = Vec::with_capacity(canonical.len());
-        for chunk_result in joined {
-            match chunk_result {
-                Ok(Ok(items)) => merged.extend(items),
-                Ok(Err(e)) => return Err(e),
-                Err(chunk) => {
-                    return Err(FsaError::WorkerPanicked {
-                        stage: "explore:build",
-                        chunk,
-                    })
-                }
-            }
-        }
-        merged
-    } else {
-        canonical
-            .iter()
-            .map(|&m| build(m))
-            .collect::<Result<Vec<_>, _>>()?
-    };
-    stats.build_time += span.finish();
-
-    // Stream into the certificate class map.
-    let span = options.obs.span("explore.dedup");
-    for item in built {
-        let Some((instance, shape, certificate)) = item else {
-            stats.disconnected_skipped += 1;
-            continue;
-        };
-        if insert_candidate(classes, trusted, shape, certificate).is_some() {
-            instances.push(instance);
-        }
-    }
-    stats.dedup_time += span.finish();
-    stats.truncated |= truncated;
-    Ok(truncated)
 }
 
 /// The copy-permutation group of one multiplicity vector, induced on the
@@ -1961,123 +1736,48 @@ fn is_weakly_connected(instance: &SosInstance) -> bool {
     visited == n
 }
 
-/// Elicits every instance and unions the requirement sets (§4.4).
-///
-/// # Errors
-///
-/// Propagates elicitation errors (e.g. a cyclic composition produced by
-/// bidirectional connection rules).
-pub fn union_requirements(instances: &[SosInstance]) -> Result<RequirementSet, FsaError> {
-    union_requirements_threaded(instances, 1)
-}
-
-/// Like [`union_requirements`], with the elicitation fanned out over
-/// `threads` scoped worker threads (chunked, merged in instance order —
-/// bit-identical to the sequential run).
-///
-/// # Errors
-///
-/// Propagates elicitation errors.
-pub fn union_requirements_threaded(
-    instances: &[SosInstance],
-    threads: usize,
-) -> Result<RequirementSet, FsaError> {
-    union_with(instances, threads, &elicit, false).map(|(set, _)| set)
-}
-
-/// Like [`union_requirements`], but skips instances whose composition is
-/// cyclic (bidirectional rules can produce `A sends to B sends to A`
-/// loops, which the paper's loop-freedom assumption excludes). Returns
-/// the union together with the number of skipped instances.
+/// Elicits every instance and unions the requirement sets (§4.4),
+/// skipping instances whose composition is cyclic (bidirectional rules
+/// can produce `A sends to B sends to A` loops, which the paper's
+/// loop-freedom assumption excludes). Returns the union together with
+/// the number of skipped instances. Runs
+/// [`union_requirements_loop_free_supervised`] on one thread under
+/// [`Supervisor::fail_fast`].
 ///
 /// # Errors
 ///
 /// *Only* [`FsaError::CircularDependency`] counts as a loop-skip; every
-/// other elicitation error is a real failure and propagates.
+/// other elicitation error is a real failure and propagates. A
+/// panicking elicitation is [`FsaError::WorkerPanicked`] (stage
+/// `explore:union`, chunk = instance index), never a partial union.
 pub fn union_requirements_loop_free(
     instances: &[SosInstance],
 ) -> Result<(RequirementSet, usize), FsaError> {
-    union_with(instances, 1, &elicit, true)
+    fail_closed_union(instances, &Supervisor::fail_fast(), &elicit)
 }
 
-/// Like [`union_requirements_loop_free`], fanned out over `threads`
-/// scoped worker threads (bit-identical to the sequential run).
-///
-/// # Errors
-///
-/// See [`union_requirements_loop_free`].
-pub fn union_requirements_loop_free_threaded(
+/// [`union_requirements_loop_free`] under an explicit fail-fast
+/// supervisor and elicitor (the tests substitute panicking ones).
+fn fail_closed_union<F>(
     instances: &[SosInstance],
-    threads: usize,
-) -> Result<(RequirementSet, usize), FsaError> {
-    union_with(instances, threads, &elicit, true)
-}
-
-/// Chunked fork-join union of per-instance elicitations. `skip_cycles`
-/// turns [`FsaError::CircularDependency`] into a skip count; all other
-/// errors propagate, first-in-instance-order.
-fn union_with<F>(
-    instances: &[SosInstance],
-    threads: usize,
+    supervisor: &Supervisor,
     elicit_fn: &F,
-    skip_cycles: bool,
 ) -> Result<(RequirementSet, usize), FsaError>
 where
     F: Fn(&SosInstance) -> Result<ElicitationReport, FsaError> + Sync,
 {
-    let worker = |chunk: &[SosInstance]| -> Result<(RequirementSet, usize), FsaError> {
-        let mut union = RequirementSet::new();
-        let mut skipped = 0usize;
-        for inst in chunk {
-            match elicit_fn(inst) {
-                Ok(report) => union = union.union(&report.requirement_set()),
-                Err(FsaError::CircularDependency { .. }) if skip_cycles => skipped += 1,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok((union, skipped))
-    };
-    let threads = threads.max(1);
-    if threads == 1 || instances.len() < 2 {
-        return worker(instances);
+    let union = union_engine(instances, 1, supervisor, &Obs::disabled(), elicit_fn)?;
+    if !union.is_complete() {
+        return Err(FsaError::WorkerPanicked {
+            stage: UNION_STAGE,
+            chunk: union.failures.first().map_or(union.elicited, |f| f.chunk),
+        });
     }
-    let chunk = instances.len().div_ceil(threads);
-    // Join every worker before reporting the first panic, so a second
-    // panicking chunk cannot double-panic the scope; a panicked worker
-    // surfaces as `FsaError::WorkerPanicked`, not a process abort.
-    let joined: JoinedChunks<(RequirementSet, usize)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = instances
-            .chunks(chunk)
-            .map(|c| scope.spawn(move || worker(c)))
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| h.join().map_err(|_| i))
-            .collect()
-    });
-    let mut union = RequirementSet::new();
-    let mut skipped = 0usize;
-    for chunk_result in joined {
-        match chunk_result {
-            Ok(Ok((u, s))) => {
-                union = union.union(&u);
-                skipped += s;
-            }
-            Ok(Err(e)) => return Err(e),
-            Err(chunk) => {
-                return Err(FsaError::WorkerPanicked {
-                    stage: "explore:union",
-                    chunk,
-                })
-            }
-        }
-    }
-    Ok((union, skipped))
+    Ok((union.requirements, union.loop_skipped))
 }
 
 /// Result of [`union_requirements_loop_free_supervised`]: the union
-/// plus the supervised-run accounting.
+/// plus the coverage accounting.
 #[derive(Debug, Clone)]
 pub struct UnionOutcome {
     /// Union of the elicited requirement sets.
@@ -2101,18 +1801,25 @@ pub struct UnionOutcome {
 
 impl UnionOutcome {
     /// `true` when every instance was elicited (nothing dropped,
-    /// nothing cancelled) — the union is then bit-identical to
-    /// [`union_requirements_loop_free`].
+    /// nothing cancelled) — the union is then the same for every
+    /// supervisor and thread count.
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.elicited == self.total
     }
 }
 
-/// Like [`union_requirements_loop_free_threaded`], executed under the
-/// supervised layer: one chunk per instance, panic-isolated and
-/// retried; a cancellation (deadline) degrades to a prefix union with
-/// explicit coverage in [`UnionOutcome`].
+/// Supervisor stage label of the union.
+const UNION_STAGE: &str = "explore:union";
+
+/// The union engine: one chunk per instance on `supervisor`, each
+/// panic-isolated and retried; a cancellation (deadline) degrades to a
+/// prefix union with explicit coverage in [`UnionOutcome`]. Every chunk
+/// folds its requirements into one shared set in place — set union is
+/// order-free and idempotent, so neither retries nor the thread count
+/// can change the result, and no per-instance set outlives its chunk.
+/// `obs` gets the `explore.union` span and the
+/// `explore.union.instances` / `explore.union.loop_skipped` counters.
 ///
 /// # Errors
 ///
@@ -2122,34 +1829,50 @@ pub fn union_requirements_loop_free_supervised(
     instances: &[SosInstance],
     threads: usize,
     supervisor: &Supervisor,
+    obs: &Obs,
 ) -> Result<UnionOutcome, FsaError> {
-    enum One {
-        Set(Box<RequirementSet>),
-        Cyclic,
-    }
-    let outcome = supervisor.run_chunks::<One, FsaError, _>(
-        "explore:union",
-        threads.max(1),
-        instances.len(),
-        |i| match elicit(&instances[i]) {
-            Ok(report) => Ok(One::Set(Box::new(report.requirement_set()))),
-            Err(FsaError::CircularDependency { .. }) => Ok(One::Cyclic),
-            Err(e) => Err(e),
-        },
-    )?;
-    let mut requirements = RequirementSet::new();
-    let mut loop_skipped = 0usize;
-    let elicited = outcome.results.len();
-    for (_, one) in outcome.results {
-        match one {
-            One::Set(set) => requirements = requirements.union(&set),
-            One::Cyclic => loop_skipped += 1,
-        }
-    }
+    union_engine(instances, threads, supervisor, obs, &elicit)
+}
+
+/// [`union_requirements_loop_free_supervised`] over an arbitrary
+/// per-instance elicitor (the tests substitute failing ones).
+fn union_engine<F>(
+    instances: &[SosInstance],
+    threads: usize,
+    supervisor: &Supervisor,
+    obs: &Obs,
+    elicit_fn: &F,
+) -> Result<UnionOutcome, FsaError>
+where
+    F: Fn(&SosInstance) -> Result<ElicitationReport, FsaError> + Sync,
+{
+    let span = obs.span("explore.union");
+    let union = Mutex::new(RequirementSet::new());
+    // Each chunk yields `true` when its instance was skipped as cyclic.
+    let outcome =
+        supervisor.run_chunks::<bool, FsaError, _>(UNION_STAGE, threads, instances.len(), |i| {
+            match elicit_fn(&instances[i]) {
+                Ok(report) => {
+                    let mut set = union.lock().unwrap_or_else(PoisonError::into_inner);
+                    for classified in report.classified_requirements() {
+                        if !set.contains(&classified.requirement) {
+                            set.insert(classified.requirement.clone());
+                        }
+                    }
+                    Ok(false)
+                }
+                Err(FsaError::CircularDependency { .. }) => Ok(true),
+                Err(e) => Err(e),
+            }
+        })?;
+    let loop_skipped = outcome.results.iter().filter(|(_, cyclic)| *cyclic).count();
+    drop(span);
+    obs.counter_add("explore.union.instances", instances.len() as u64);
+    obs.counter_add("explore.union.loop_skipped", loop_skipped as u64);
     Ok(UnionOutcome {
-        requirements,
+        requirements: union.into_inner().unwrap_or_else(PoisonError::into_inner),
         loop_skipped,
-        elicited,
+        elicited: outcome.results.len(),
         total: instances.len(),
         failures: outcome.failures,
         retries: outcome.retries,
@@ -2160,6 +1883,7 @@ pub fn union_requirements_loop_free_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fsa_exec::CancelToken;
 
     /// A sensor model (one output) and a sink model (input → display).
     fn sensor_and_display() -> Vec<(ComponentModel, usize)> {
@@ -2328,7 +2052,8 @@ mod tests {
         let instances =
             enumerate_instances(&sensor_and_display(), &rules(), &ExploreOptions::default())
                 .unwrap();
-        let union = union_requirements(&instances).unwrap();
+        let (union, skipped) = union_requirements_loop_free(&instances).unwrap();
+        assert_eq!(skipped, 0);
         for inst in &instances {
             let set = elicit(inst).unwrap().requirement_set();
             assert!(set.is_subset(&union), "instance {}", inst.name());
@@ -2337,27 +2062,6 @@ mod tests {
         assert!(union
             .iter()
             .any(|r| r.antecedent.name() == "emit" && r.consequent.name() == "show"));
-    }
-
-    #[test]
-    fn threaded_union_is_bit_identical() {
-        let instances = enumerate_instances(
-            &sensor_and_display(),
-            &rules(),
-            &ExploreOptions {
-                require_connected: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let seq = union_requirements(&instances).unwrap();
-        for threads in [2usize, 4, 8] {
-            assert_eq!(
-                seq,
-                union_requirements_threaded(&instances, threads).unwrap(),
-                "threads {threads}"
-            );
-        }
     }
 
     #[test]
@@ -2458,28 +2162,46 @@ mod tests {
             &ExploreOptions::default(),
         )
         .unwrap();
+        assert_eq!(seq.stats.vectors_completed, seq.stats.vectors_total);
+        assert_eq!(seq.stats.candidates_built, seq.stats.candidates);
+        assert_eq!(seq.accepted.len(), seq.instances.len());
         for threads in [2usize, 4, 8] {
-            let par = enumerate_instances_with_stats(
+            let options = ExploreOptions {
+                threads,
+                ..Default::default()
+            };
+            let par =
+                enumerate_instances_with_stats(&sensor_and_display(), &rules(), &options).unwrap();
+            let sup = enumerate_instances_supervised(
                 &sensor_and_display(),
                 &rules(),
-                &ExploreOptions {
-                    threads,
-                    ..Default::default()
+                &options,
+                &ExecOptions {
+                    batch: 3,
+                    ..ExecOptions::default()
                 },
             )
             .unwrap();
-            assert_eq!(
-                seq.instances.len(),
-                par.instances.len(),
-                "threads {threads}"
-            );
-            for (a, b) in seq.instances.iter().zip(&par.instances) {
-                assert_eq!(a.name(), b.name());
-                assert_eq!(a.graph(), b.graph());
+            for run in [&par, &sup] {
+                assert_eq!(
+                    seq.instances.len(),
+                    run.instances.len(),
+                    "threads {threads}"
+                );
+                for (a, b) in seq.instances.iter().zip(&run.instances) {
+                    assert_eq!(a.name(), b.name());
+                    assert_eq!(a.graph(), b.graph());
+                }
+                assert_eq!(seq.accepted, run.accepted);
+                assert_eq!(seq.stats.candidates, run.stats.candidates);
+                assert_eq!(seq.stats.orbits_skipped, run.stats.orbits_skipped);
+                assert_eq!(seq.stats.classes, run.stats.classes);
+                assert_eq!(seq.stats.certificate_hits, run.stats.certificate_hits);
+                assert_eq!(
+                    seq.stats.disconnected_skipped,
+                    run.stats.disconnected_skipped
+                );
             }
-            assert_eq!(seq.stats.candidates, par.stats.candidates);
-            assert_eq!(seq.stats.orbits_skipped, par.stats.orbits_skipped);
-            assert_eq!(seq.stats.classes, par.stats.classes);
         }
     }
 
@@ -2528,7 +2250,14 @@ mod tests {
             }
         };
         for threads in [1usize, 4] {
-            let err = union_with(&instances, threads, &failing, true).unwrap_err();
+            let err = union_engine(
+                &instances,
+                threads,
+                &Supervisor::fail_fast(),
+                &Obs::disabled(),
+                &failing,
+            )
+            .unwrap_err();
             assert_eq!(
                 err,
                 FsaError::UnknownAction("ghost(X,val)".to_owned()),
@@ -2542,17 +2271,18 @@ mod tests {
                 second: crate::action::Action::parse("b"),
             })
         };
-        let (union, skipped) = union_with(&instances, 1, &cyclic, true).unwrap();
+        let (union, skipped) =
+            fail_closed_union(&instances, &Supervisor::fail_fast(), &cyclic).unwrap();
         assert!(union.is_empty());
         assert_eq!(skipped, instances.len());
     }
 
     #[test]
     fn union_worker_panic_is_worker_panicked_not_abort() {
-        // Satellite regression: the *non-supervised* fork-join paths
-        // used to `expect()` on worker joins, turning any panicking
-        // elicitor into a process abort. They now surface as
-        // `FsaError::WorkerPanicked` with the stage and chunk.
+        // The plain union runs under the fail-fast supervisor: a
+        // panicking elicitor is never retried and never yields a
+        // partial union — it surfaces as `FsaError::WorkerPanicked`
+        // naming the stage and the first panicked instance.
         let instances = enumerate_instances(
             &sensor_and_display(),
             &rules(),
@@ -2562,62 +2292,19 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(instances.len() >= 2, "need at least two chunks");
-        let exploding = |_: &SosInstance| -> Result<ElicitationReport, FsaError> {
-            panic!("elicitor exploded")
+        assert!(instances.len() >= 3, "need a chunk after the panic");
+        let exploding = |inst: &SosInstance| -> Result<ElicitationReport, FsaError> {
+            assert!(!std::ptr::eq(inst, &instances[1]), "elicitor exploded");
+            elicit(inst)
         };
-        let err = union_with(&instances, 4, &exploding, true).unwrap_err();
-        match err {
-            FsaError::WorkerPanicked { stage, .. } => assert_eq!(stage, "explore:union"),
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn supervised_matches_legacy_bit_identically() {
-        let legacy = enumerate_instances_with_stats(
-            &sensor_and_display(),
-            &rules(),
-            &ExploreOptions::default(),
-        )
-        .unwrap();
-        for threads in [1usize, 4] {
-            let sup = enumerate_instances_supervised(
-                &sensor_and_display(),
-                &rules(),
-                &ExploreOptions {
-                    threads,
-                    ..Default::default()
-                },
-                &ExecOptions::default(),
-            )
-            .unwrap();
-            assert_eq!(
-                legacy.instances.len(),
-                sup.instances.len(),
-                "threads {threads}"
-            );
-            for (a, b) in legacy.instances.iter().zip(&sup.instances) {
-                assert_eq!(a.name(), b.name());
-                assert_eq!(a.graph(), b.graph());
+        let err = fail_closed_union(&instances, &Supervisor::fail_fast(), &exploding).unwrap_err();
+        assert_eq!(
+            err,
+            FsaError::WorkerPanicked {
+                stage: "explore:union",
+                chunk: 1,
             }
-            assert_eq!(legacy.stats.candidates, sup.stats.candidates);
-            assert_eq!(legacy.stats.subsets_total, sup.stats.subsets_total);
-            assert_eq!(legacy.stats.orbits_skipped, sup.stats.orbits_skipped);
-            assert_eq!(legacy.stats.classes, sup.stats.classes);
-            assert_eq!(legacy.stats.certificate_hits, sup.stats.certificate_hits);
-            assert_eq!(
-                legacy.stats.exact_iso_fallbacks,
-                sup.stats.exact_iso_fallbacks
-            );
-            assert_eq!(
-                legacy.stats.disconnected_skipped,
-                sup.stats.disconnected_skipped
-            );
-            assert_eq!(sup.stats.vectors_completed, sup.stats.vectors_total);
-            assert_eq!(sup.stats.candidates_built, sup.stats.candidates);
-            assert!(!sup.stats.cancelled && !sup.stats.resumed);
-        }
+        );
     }
 
     #[test]
@@ -2632,15 +2319,30 @@ mod tests {
         )
         .unwrap();
         let (golden, golden_skipped) = union_requirements_loop_free(&instances).unwrap();
-        for threads in [1usize, 4] {
-            let out =
-                union_requirements_loop_free_supervised(&instances, threads, &Supervisor::new())
-                    .unwrap();
+        for threads in [1usize, 2, 4, 8] {
+            let obs = Obs::enabled();
+            let out = union_requirements_loop_free_supervised(
+                &instances,
+                threads,
+                &Supervisor::new(),
+                &obs,
+            )
+            .unwrap();
             assert!(out.is_complete(), "threads {threads}");
             assert_eq!(out.requirements, golden);
             assert_eq!(out.loop_skipped, golden_skipped);
             assert!(out.failures.is_empty());
             assert!(!out.cancelled);
+            let snap = obs.snapshot();
+            assert_eq!(snap.span_count("explore.union"), 1);
+            assert_eq!(
+                snap.counter("explore.union.instances"),
+                Some(instances.len() as u64)
+            );
+            assert_eq!(
+                snap.counter("explore.union.loop_skipped"),
+                Some(golden_skipped as u64)
+            );
         }
     }
 
@@ -2780,9 +2482,9 @@ mod tests {
         let models = sensor_and_display();
         let rules = rules();
         let plain = enumerate_instances_with_stats(&models, &rules, &ExploreOptions::default())
-            .expect("legacy engine");
+            .expect("unobserved run");
 
-        // Legacy engine, observed.
+        // Fail-fast entry point, observed.
         let obs = Obs::enabled();
         let observed = enumerate_instances_with_stats(
             &models,
@@ -2792,7 +2494,7 @@ mod tests {
                 ..Default::default()
             },
         )
-        .expect("observed legacy engine");
+        .expect("observed run");
         assert_eq!(observed.instances.len(), plain.instances.len());
         for (a, b) in plain.instances.iter().zip(&observed.instances) {
             assert_eq!(a.name(), b.name());
@@ -2806,7 +2508,9 @@ mod tests {
         assert!(snap.span_count("explore.build") >= 1);
         assert!(snap.span_count("explore.dedup") >= 1);
 
-        // Supervised engine, observed, with checkpoint timing.
+        // Explicit execution policy, observed, with checkpoint timing:
+        // the engine's series go to `options.obs`, the supervisor's own
+        // series to its handle (here the same registry).
         let path = std::env::temp_dir().join(format!(
             "fsa_explore_obs_{}_{:?}.ckpt",
             std::process::id(),
@@ -2821,9 +2525,12 @@ mod tests {
             }),
             ..Default::default()
         };
-        let sup =
-            enumerate_instances_supervised(&models, &rules, &ExploreOptions::default(), &exec)
-                .expect("supervised engine");
+        let options = ExploreOptions {
+            obs: obs.clone(),
+            ..Default::default()
+        };
+        let sup = enumerate_instances_supervised(&models, &rules, &options, &exec)
+            .expect("supervised engine");
         assert_eq!(sup.instances.len(), plain.instances.len());
         let snap = obs.snapshot();
         let view = ExploreStats::from_snapshot(&snap).unwrap();
@@ -2837,9 +2544,11 @@ mod tests {
             snap.histogram("checkpoint.write").map(|h| h.count),
             Some(sup.stats.checkpoints_written as u64)
         );
+        // One chunk per built candidate plus one per scanned vector (each
+        // vector here has fewer than `SCAN_CANCEL_STRIDE` subsets).
         assert_eq!(
             snap.counter("supervisor.chunks"),
-            Some(sup.stats.candidates_built as u64)
+            Some((sup.stats.candidates_built + sup.stats.multiplicity_vectors) as u64)
         );
         std::fs::remove_file(&path).ok();
     }
@@ -3011,14 +2720,25 @@ mod tests {
     }
 
     #[test]
-    fn shard_rejected_by_legacy_engine_and_bad_ranges() {
+    fn shard_ranges_are_validated_by_both_entry_points() {
         let models = sensor_and_display();
-        let shard = Some(ShardRange::new(0, 1));
+        // The plain entry point honours a shard like the explicit one.
+        let shard = Some(ShardRange::new(0, 2));
+        let options = ExploreOptions {
+            shard,
+            ..Default::default()
+        };
+        let plain = enumerate_instances_with_stats(&models, &rules(), &options).unwrap();
+        let sup =
+            enumerate_instances_supervised(&models, &rules(), &options, &ExecOptions::default())
+                .unwrap();
+        assert_eq!(plain.accepted, sup.accepted);
+        assert_eq!(plain.stats.vectors_total, 2);
         let err = enumerate_instances_with_stats(
             &models,
             &rules(),
             &ExploreOptions {
-                shard,
+                shard: Some(ShardRange { start: 3, end: 2 }),
                 ..Default::default()
             },
         )
@@ -3126,5 +2846,122 @@ mod tests {
         assert!(matches!(err, FsaError::CorruptCheckpoint { .. }), "{err}");
         let err = merge_accepted(&models, &rules, &[(0, u64::MAX)]).unwrap_err();
         assert!(matches!(err, FsaError::CorruptCheckpoint { .. }), "{err}");
+    }
+
+    /// Two models whose largest vector, 2×A + 4×B, has 16 candidate
+    /// flows: 65 536 subsets, i.e. 16 scan chunks.
+    fn scan_heavy_models() -> (Vec<(ComponentModel, usize)>, Vec<ConnectionRule>) {
+        let mut a = ComponentModel::new("A", "Op");
+        a.action("send(A_i,msg)");
+        a.action("rec(A_i,msg)");
+        let mut b = ComponentModel::new("B", "Op");
+        b.action("send(B_i,msg)");
+        b.action("rec(B_i,msg)");
+        let rules = vec![
+            ConnectionRule::new("A", 0, "B", 1),
+            ConnectionRule::new("B", 0, "A", 1),
+        ];
+        (vec![(a, 2), (b, 4)], rules)
+    }
+
+    #[test]
+    fn cancelled_parallel_scan_abandons_the_vector() {
+        // Regression: the multi-threaded subset scan never looked at
+        // the cancel token, so a deadline tripping mid-scan still
+        // scanned the whole vector and counted it (vector, subsets,
+        // candidates) although none of it was built. The scan now runs
+        // as cancellable chunks and a cut scan leaves no trace.
+        let (models, rules) = scan_heavy_models();
+        let total = vector_space(&models);
+        let options = ExploreOptions {
+            threads: 2,
+            shard: Some(ShardRange::new(total - 1, total)),
+            ..Default::default()
+        };
+        let golden =
+            enumerate_instances_supervised(&models, &rules, &options, &ExecOptions::default())
+                .unwrap();
+        assert!(golden.stats.candidates > 0);
+        let path = std::env::temp_dir().join(format!(
+            "fsa_explore_scancut_{}_{:?}.ckpt",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        // One tick passes the vector gate, two more start two of the 16
+        // scan chunks; the next boundary check trips.
+        let exec = ExecOptions {
+            supervisor: Supervisor::new().with_cancel(CancelToken::countdown(3)),
+            checkpoint: Some(CheckpointSpec {
+                path: path.clone(),
+                every: 1,
+            }),
+            ..ExecOptions::default()
+        };
+        let cut = enumerate_instances_supervised(&models, &rules, &options, &exec).unwrap();
+        assert!(cut.stats.cancelled);
+        assert_eq!(cut.stats.multiplicity_vectors, 0, "{:?}", cut.stats);
+        assert_eq!(cut.stats.subsets_total, 0);
+        assert_eq!(cut.stats.candidates, 0);
+        assert_eq!(cut.stats.vectors_completed, 0);
+        assert!(cut.instances.is_empty());
+        // The checkpoint re-scans the vector on resume.
+        let resumed = enumerate_instances_supervised(
+            &models,
+            &rules,
+            &options,
+            &ExecOptions {
+                resume: Some(path.clone()),
+                ..ExecOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(resumed.accepted, golden.accepted);
+        assert_eq!(resumed.stats.candidates, golden.stats.candidates);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[cfg(feature = "chaos")]
+    #[test]
+    fn plain_entry_points_fail_closed_on_a_panicked_chunk() {
+        use fsa_exec::FaultPlan;
+        let models = sensor_and_display();
+        let rules = rules();
+        for threads in [1usize, 4] {
+            let options = ExploreOptions {
+                threads,
+                ..Default::default()
+            };
+            let exec = ExecOptions {
+                supervisor: Supervisor::fail_fast().with_fault_plan(FaultPlan::new().panic_on(
+                    "explore:build",
+                    1,
+                    1,
+                )),
+                ..ExecOptions::default()
+            };
+            let err = explore_engine(&models, &rules, &options, &exec, true).unwrap_err();
+            assert_eq!(
+                err,
+                FsaError::WorkerPanicked {
+                    stage: "explore:build",
+                    chunk: 1,
+                },
+                "threads {threads}"
+            );
+        }
+        let instances = enumerate_instances(&models, &rules, &ExploreOptions::default()).unwrap();
+        let sup = Supervisor::fail_fast().with_fault_plan(FaultPlan::new().panic_on(
+            "explore:union",
+            2,
+            1,
+        ));
+        let err = fail_closed_union(&instances, &sup, &elicit).unwrap_err();
+        assert_eq!(
+            err,
+            FsaError::WorkerPanicked {
+                stage: "explore:union",
+                chunk: 2,
+            }
+        );
     }
 }

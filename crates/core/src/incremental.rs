@@ -25,8 +25,8 @@
 //!   frag entry was invalidated in between.
 
 use crate::assisted::{
-    dependence_by_abstraction, requirements_from_verdicts, AssistedReport, DependenceMethod,
-    PairVerdict, PipelineStats,
+    dependence_by_abstraction, grid_map, requirements_from_verdicts, AssistedReport,
+    DependenceMethod, PairVerdict, PipelineStats,
 };
 use crate::delta::{DeltaError, EditModel, ModelDelta};
 use crate::memo::{MemoCounters, MemoStore};
@@ -441,21 +441,9 @@ fn analyze_fragment(
             }
         }
     };
-    let results: Vec<(bool, Option<usize>)> = if threads <= 1 || pairs.len() < 2 {
-        pairs.iter().map(eval).collect()
-    } else {
-        let chunk = pairs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = pairs
-                .chunks(chunk)
-                .map(|ps| scope.spawn(|| ps.iter().map(eval).collect::<Vec<_>>()))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("pair worker panicked"))
-                .collect()
-        })
-    };
+    let results = grid_map("incremental:pairs", pairs.len(), threads, |i| {
+        eval(&pairs[i])
+    });
     let verdicts: BTreeMap<(String, String), (bool, Option<usize>)> =
         pairs.into_iter().zip(results).collect();
 

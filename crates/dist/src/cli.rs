@@ -12,7 +12,7 @@ use crate::local::{explore_distributed, LocalConfig, WorkerMode};
 use crate::worker::{run_worker, WorkerConfig};
 use fsa_core::explore::{Exploration, ExploreOptions};
 use fsa_core::service::{Rendered, ServiceCtx};
-use fsa_serve::cli::{emit, render_exploration, Flag, Flags, ObsOutputs};
+use fsa_serve::cli::{emit, report_exploration, Flag, Flags, ObsOutputs};
 use std::path::PathBuf;
 
 const COORDINATE_USAGE: &str = "usage:
@@ -204,7 +204,9 @@ pub fn coordinate_command(args: &[String]) -> u8 {
     }
     match coordinator.run() {
         Ok(exploration) => {
-            let mut r = render_exploration(&exploration, max_vehicles, all, stats, 1);
+            let supervisor = fsa_exec::Supervisor::new().with_obs(obs.clone());
+            let mut r =
+                report_exploration(&exploration, max_vehicles, all, stats, 1, &supervisor, &obs);
             outputs.collect(&obs, &mut r);
             emit(&r)
         }

@@ -65,8 +65,12 @@ fn three_vehicle_distributed_is_bit_identical() {
     assert!(snapshot.counter("dist.leases_granted").unwrap_or(0) >= 5);
     assert!(snapshot.counter("dist.merge_micros").is_some());
     // The rendered CLI report is byte-identical by construction.
-    let a = fsa_serve::cli::render_exploration(&single, 3, false, false, 1);
-    let b = fsa_serve::cli::render_exploration(&dist, 3, false, false, 1);
+    let sup = fsa_exec::Supervisor::new();
+    let render = |e: &Exploration| {
+        fsa_serve::cli::report_exploration(e, 3, false, false, 1, &sup, &Obs::disabled())
+    };
+    let (a, b) = (render(&single), render(&dist));
+    assert_eq!((a.exit, b.exit), (0, 0));
     assert_eq!(a.stdout, b.stdout);
 }
 

@@ -11,9 +11,11 @@
 //! and propagate immediately, smallest chunk index first.
 //!
 //! Completed chunk results are merged in ascending chunk order, so the
-//! output of a supervised stage is bit-identical for every worker
-//! thread count — and bit-identical to the unsupervised engines
-//! whenever no chunk was dropped.
+//! output of a stage is bit-identical for every worker thread count.
+//! This is the only fork-join of the workspace: every engine fans out
+//! through it. The plain entry points, which report no coverage, run it
+//! under [`Supervisor::fail_fast`] and turn an incomplete [`Outcome`]
+//! into an error naming the stage and chunk.
 
 use crate::cancel::CancelToken;
 #[cfg(feature = "chaos")]
@@ -113,11 +115,28 @@ pub struct Outcome<T> {
 
 impl<T> Outcome<T> {
     /// `true` when every chunk completed (nothing dropped, nothing
-    /// cancelled) — the merged output is then bit-identical to an
-    /// unsupervised run.
+    /// cancelled) — the merged output is then the same for every retry
+    /// policy, cancel token and thread count.
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.results.len() == self.chunks_total
+    }
+
+    /// The smallest chunk index without a result (quarantined, or never
+    /// started because the stage was cancelled); `None` when the
+    /// outcome is complete.
+    #[must_use]
+    pub fn first_missing(&self) -> Option<usize> {
+        if self.is_complete() {
+            return None;
+        }
+        let present = self
+            .results
+            .iter()
+            .enumerate()
+            .take_while(|(i, (chunk, _))| i == chunk)
+            .count();
+        Some(present)
     }
 
     /// The completed values in chunk order, discarding the indices.
@@ -151,6 +170,18 @@ impl Supervisor {
     #[must_use]
     pub fn new() -> Self {
         Supervisor::default()
+    }
+
+    /// The policy of the plain entry points: no retries and a token that
+    /// never cancels. A panicking chunk is quarantined on its first
+    /// attempt; the caller then sees an incomplete [`Outcome`] and fails
+    /// closed instead of returning a partial result.
+    #[must_use]
+    pub fn fail_fast() -> Self {
+        Supervisor::new().with_retry(RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        })
     }
 
     /// Replaces the retry policy.
@@ -437,6 +468,7 @@ mod tests {
     fn zero_chunks_is_a_complete_empty_outcome() {
         let out = squares(&Supervisor::new(), 4, 0);
         assert!(out.is_complete());
+        assert_eq!(out.first_missing(), None);
         assert!(out.results.is_empty());
         assert!(!out.cancelled);
     }
@@ -478,6 +510,7 @@ mod tests {
                 })
                 .expect("panics are not app errors");
             assert!(!out.is_complete());
+            assert_eq!(out.first_missing(), Some(5));
             assert_eq!(out.results.len(), 15, "threads {threads}");
             assert!(out.results.iter().all(|&(c, v)| c == v && c != 5));
             assert_eq!(out.failures.len(), 1);
@@ -487,6 +520,20 @@ mod tests {
             assert!(failure.to_string().contains("test:panic chunk 5"));
             assert_eq!(out.retries, 1);
         }
+    }
+
+    #[test]
+    fn fail_fast_quarantines_on_the_first_attempt() {
+        let sup = Supervisor::fail_fast();
+        assert_eq!(sup.retry.max_retries, 0);
+        let out = sup
+            .run_chunks::<usize, (), _>("test:fail-fast", 2, 8, |i| {
+                assert!(i != 3, "chunk 3 panics");
+                Ok(i)
+            })
+            .expect("panics are not app errors");
+        assert_eq!(out.first_missing(), Some(3));
+        assert_eq!((out.failures[0].attempts, out.retries), (1, 0));
     }
 
     #[test]
@@ -522,6 +569,7 @@ mod tests {
         let out = squares(&sup, 1, 100);
         assert!(out.cancelled);
         assert!(!out.is_complete());
+        assert_eq!(out.first_missing(), Some(5));
         // Exactly 5 boundary checks passed before the trip.
         assert_eq!(out.results.len(), 5);
         assert_eq!(

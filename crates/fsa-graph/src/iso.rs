@@ -519,35 +519,6 @@ pub fn dedup_isomorphic_certified<L: Eq + Hash + Ord>(graphs: Vec<DiGraph<L>>) -
     classes.into_reps()
 }
 
-/// Like [`dedup_isomorphic_certified`], but computes the certificates on
-/// `threads` scoped worker threads (chunked, merged in input order — the
-/// result is bit-identical for every thread count).
-pub fn dedup_isomorphic_certified_parallel<L: Eq + Hash + Ord + Sync>(
-    graphs: Vec<DiGraph<L>>,
-    threads: usize,
-) -> Vec<DiGraph<L>> {
-    let threads = threads.max(1);
-    if threads == 1 || graphs.len() < 2 {
-        return dedup_isomorphic_certified(graphs);
-    }
-    let chunk = graphs.len().div_ceil(threads);
-    let certificates: Vec<Certificate> = std::thread::scope(|scope| {
-        let handles: Vec<_> = graphs
-            .chunks(chunk)
-            .map(|gs| scope.spawn(|| gs.iter().map(canonical_certificate).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("certificate worker panicked"))
-            .collect()
-    });
-    let mut classes = CertifiedClasses::new();
-    for (g, c) in graphs.into_iter().zip(certificates) {
-        classes.insert_with_certificate(g, c);
-    }
-    classes.into_reps()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,13 +732,6 @@ mod tests {
         let pairwise = dedup_isomorphic(graphs.clone());
         let certified = dedup_isomorphic_certified(graphs.clone());
         assert_eq!(pairwise, certified);
-        for threads in [1usize, 2, 4, 8] {
-            assert_eq!(
-                pairwise,
-                dedup_isomorphic_certified_parallel(graphs.clone(), threads),
-                "threads {threads}"
-            );
-        }
     }
 
     #[test]

@@ -28,11 +28,14 @@ pub enum RuntimeError {
         /// Index of the monitor within its bank.
         monitor: usize,
     },
-    /// A stream slot was never filled by any worker — an internal
-    /// invariant breach of the shard/merge bookkeeping.
-    StreamNotRun {
-        /// Index of the stream that has no result.
-        stream: usize,
+    /// A worker chunk panicked under the fail-fast supervisor of
+    /// [`crate::run_fleet`] / [`crate::monitor_apa`]: the run fails
+    /// closed instead of returning a partial report.
+    WorkerPanicked {
+        /// Supervisor stage (`fleet:stream`).
+        stage: &'static str,
+        /// Chunk index (the stream id).
+        chunk: usize,
     },
     /// An exported observability counter does not fit this target's
     /// `usize` (32-bit truncation hazard); snapshot views fail closed
@@ -68,8 +71,8 @@ impl fmt::Display for RuntimeError {
                 f,
                 "monitor {monitor} is VIOLATED but has no recorded violation position"
             ),
-            RuntimeError::StreamNotRun { stream } => {
-                write!(f, "stream {stream} was never run by any worker")
+            RuntimeError::WorkerPanicked { stage, chunk } => {
+                write!(f, "worker panicked in stage `{stage}` chunk {chunk}")
             }
             RuntimeError::CounterOutOfRange { name, value } => write!(
                 f,
@@ -92,8 +95,14 @@ mod tests {
             miss.to_string(),
             "monitor 3 is VIOLATED but has no recorded violation position"
         );
-        let not_run = RuntimeError::StreamNotRun { stream: 7 };
-        assert_eq!(not_run.to_string(), "stream 7 was never run by any worker");
-        assert_ne!(miss, not_run);
+        let panicked = RuntimeError::WorkerPanicked {
+            stage: "fleet:stream",
+            chunk: 7,
+        };
+        assert_eq!(
+            panicked.to_string(),
+            "worker panicked in stage `fleet:stream` chunk 7"
+        );
+        assert_ne!(miss, panicked);
     }
 }

@@ -4,11 +4,11 @@
 //! seeded [`apa::Simulator`] over the same APA (restarted
 //! episode-by-episode until the stream's event quota is met — the
 //! precedence monitors latch `SEEN`, so concatenating honest episodes
-//! never fabricates violations). Streams are sharded across
-//! `std::thread::scope` workers in contiguous stream-id ranges and the
-//! per-stream results are merged in stream order, so the violation
-//! report is **bit-identical for every thread count** — the same
-//! discipline as the dependence grid and the exploration engine.
+//! never fabricates violations). Each stream is one chunk of the
+//! `fleet:stream` stage of a [`Supervisor`], and the per-stream results
+//! are merged in stream order, so the violation report is
+//! **bit-identical for every thread count** — the same discipline as
+//! the dependence grid and the exploration engine.
 //!
 //! Fault injection ([`apa::Fault`]) mutates each stream after assembly
 //! and before checking: dropped antecedents, spoofed consequents before
@@ -47,11 +47,10 @@ pub struct FleetConfig {
     /// Observability handle. [`Obs::disabled`] (the default) records
     /// nothing and costs one branch per probe; an enabled handle gets
     /// the `fleet` root span, per-stream `fleet.simulate`/`fleet.check`
-    /// spans + histograms (the per-shard split), the `fleet.merge`
-    /// span, and the `fleet.*` counters mirrored from [`MonitorStats`].
-    /// Supervised runs record their `supervisor.*` series through the
-    /// [`Supervisor`]'s own handle; point both at the same registry for
-    /// a unified trace.
+    /// spans + histograms, the `fleet.merge` span, and the `fleet.*`
+    /// counters mirrored from [`MonitorStats`]. The [`Supervisor`]
+    /// records its `supervisor.*` series through its own handle; point
+    /// both at the same registry for a unified trace.
     pub obs: Obs,
 }
 
@@ -129,23 +128,24 @@ impl fmt::Display for MonitorVerdict {
     }
 }
 
-/// Throughput and shard statistics of one fleet run.
+/// Throughput and per-stream statistics of one fleet run.
 #[derive(Debug, Clone, Default)]
 pub struct MonitorStats {
     /// Time to compile the bank (filled by [`monitor_apa`]; zero when
     /// the bank was compiled elsewhere).
     pub compile: Duration,
-    /// Summed per-worker time spent simulating streams.
+    /// Summed per-stream time spent simulating.
     pub simulate: Duration,
-    /// Summed per-worker time spent in the fused check loop.
+    /// Summed per-stream time spent in the fused check loop.
     pub check: Duration,
-    /// Wall-clock time of the sharded run.
+    /// Wall-clock time of the fleet run.
     pub wall: Duration,
     /// Total events checked across the fleet.
     pub events: u64,
     /// Events checked per wall-clock second.
     pub events_per_sec: f64,
-    /// Events handled per worker shard (shard balance).
+    /// Events checked per completed stream, in stream order; the
+    /// `shard balance` line prints their range.
     pub shard_events: Vec<u64>,
     /// Worker threads used.
     pub threads: usize,
@@ -216,8 +216,8 @@ impl MonitorStats {
 
     /// Mirrors the scalar fields into the registry's counters so a
     /// snapshot self-describes (see [`MonitorStats::from_snapshot`]).
-    /// Shard counters are zero-padded (`fleet.shard.0007.events`) so
-    /// the registry's lexicographic order is the worker order. No-op
+    /// Per-stream counters are zero-padded (`fleet.shard.0007.events`)
+    /// so the registry's lexicographic order is the stream order. No-op
     /// when `obs` is disabled.
     fn mirror_counters(&self, obs: &Obs) {
         if !obs.is_enabled() {
@@ -239,20 +239,20 @@ pub struct FleetReport {
     pub verdicts: Vec<MonitorVerdict>,
     /// Streams the fleet was asked to check.
     pub streams: usize,
-    /// Streams that actually completed. Equal to `streams` for
-    /// unsupervised runs; under [`run_fleet_supervised`] a deadline or
+    /// Streams that actually completed. Always equal to `streams` from
+    /// [`run_fleet`]; under [`run_fleet_supervised`] a deadline or
     /// quarantined stream leaves this smaller, and the verdicts cover
     /// only the completed streams.
     pub streams_completed: usize,
     /// Total events checked (over completed streams).
     pub events: u64,
     /// Streams quarantined by the supervisor (every retry panicked).
-    /// Empty for unsupervised runs.
+    /// Always empty from [`run_fleet`].
     pub failures: Vec<ChunkFailure>,
     /// `true` if the run stopped early at a stream boundary because the
     /// supervisor's deadline / cancel token tripped.
     pub cancelled: bool,
-    /// Throughput and shard statistics.
+    /// Throughput and per-stream statistics.
     pub stats: MonitorStats,
 }
 
@@ -268,8 +268,8 @@ impl FleetReport {
     }
 
     /// Returns `true` when every requested stream completed — the
-    /// verdicts then cover the whole fleet, and (for supervised runs)
-    /// are bit-identical to an unsupervised run.
+    /// verdicts then cover the whole fleet and are the same for every
+    /// supervisor and thread count.
     pub fn is_complete(&self) -> bool {
         self.streams_completed == self.streams && !self.cancelled && self.failures.is_empty()
     }
@@ -317,9 +317,9 @@ struct StreamResult {
     violations: Vec<Violation>,
 }
 
-/// Worker-local timing accumulator.
+/// Per-stream timing accumulator.
 #[derive(Default, Clone)]
-struct WorkerLog {
+struct StreamLog {
     simulate: Duration,
     check: Duration,
     events: u64,
@@ -337,7 +337,7 @@ fn derive_seed(seed: u64, stream: u64, episode: u64) -> u64 {
 /// Runs one stream: simulate episodes, inject the fault, check.
 ///
 /// `root` is the id of the fleet's root span, so per-stream spans on
-/// worker threads parent correctly across threads. The [`WorkerLog`]
+/// worker threads parent correctly across threads. The [`StreamLog`]
 /// is filled from the *same* measurements the spans record, which is
 /// what keeps [`MonitorStats`] identical whether or not observability
 /// is enabled.
@@ -348,7 +348,7 @@ fn run_stream(
     cfg: &FleetConfig,
     stream: usize,
     root: Option<u64>,
-    log: &mut WorkerLog,
+    log: &mut StreamLog,
 ) -> Result<StreamResult, RuntimeError> {
     // --- Simulate: assemble the event stream episode by episode. -----
     let span = cfg.obs.span_under("fleet.simulate", root);
@@ -430,112 +430,46 @@ fn extract_violations(
     Ok(violations)
 }
 
-/// Checks a simulator fleet against a compiled bank.
-///
-/// Streams are sharded over `cfg.threads` scoped workers in contiguous
-/// ranges; the merge walks streams in index order, so the verdict
-/// vector (violation counts **and** first counterexamples) does not
-/// depend on the thread count.
+/// Supervisor stage label of the fleet: one chunk per stream.
+const FLEET_STAGE: &str = "fleet:stream";
+
+/// Checks a simulator fleet against a compiled bank:
+/// [`run_fleet_supervised`] under [`Supervisor::fail_fast`]. The merge
+/// walks streams in index order, so the verdict vector (violation
+/// counts **and** first counterexamples) does not depend on the thread
+/// count.
 ///
 /// # Errors
 ///
 /// * [`RuntimeError::NoStreams`] if `cfg.streams == 0`.
 /// * [`RuntimeError::Simulation`] if an underlying APA step fails.
+/// * [`RuntimeError::WorkerPanicked`] if a stream panics — it is never
+///   retried, and no partial report is returned.
 pub fn run_fleet(
     apa: &Apa,
     bank: &MonitorBank,
     cfg: &FleetConfig,
 ) -> Result<FleetReport, RuntimeError> {
-    if cfg.streams == 0 {
-        return Err(RuntimeError::NoStreams);
-    }
-    let run = cfg.obs.span("fleet");
-    let root = Some(run.id()).filter(|&id| id != 0);
-    // Automaton index → bank event symbol, computed once.
-    let apa_to_bank: Vec<u32> = apa
-        .automaton_names()
-        .map(|n| bank.event_symbol(n))
-        .collect();
+    fail_closed(run_fleet_supervised(
+        apa,
+        bank,
+        cfg,
+        &Supervisor::fail_fast(),
+    )?)
+}
 
-    let threads = cfg.threads.clamp(1, cfg.streams);
-    let chunk = cfg.streams.div_ceil(threads);
-    let mut results: Vec<Option<Result<StreamResult, RuntimeError>>> = Vec::new();
-    results.resize_with(cfg.streams, || None);
-    let mut logs = vec![WorkerLog::default(); results.chunks(chunk).count()];
-
-    if threads <= 1 {
-        let log = &mut logs[0];
-        for (i, slot) in results.iter_mut().enumerate() {
-            *slot = Some(run_stream(apa, bank, &apa_to_bank, cfg, i, root, log));
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for (w, (chunk_slots, log)) in
-                results.chunks_mut(chunk).zip(logs.iter_mut()).enumerate()
-            {
-                let apa_to_bank = &apa_to_bank;
-                scope.spawn(move || {
-                    for (k, slot) in chunk_slots.iter_mut().enumerate() {
-                        let i = w * chunk + k;
-                        *slot = Some(run_stream(apa, bank, apa_to_bank, cfg, i, root, log));
-                    }
-                });
-            }
-        });
+/// Turns an incomplete fail-fast report into an error naming the stage
+/// and the first missing stream.
+fn fail_closed(report: FleetReport) -> Result<FleetReport, RuntimeError> {
+    if report.is_complete() {
+        return Ok(report);
     }
-
-    // Deterministic merge in stream order.
-    let merge = cfg.obs.span("fleet.merge");
-    let mut counts = vec![0usize; bank.len()];
-    let mut firsts: Vec<Option<Counterexample>> = vec![None; bank.len()];
-    let mut total_events = 0u64;
-    for (i, slot) in results.into_iter().enumerate() {
-        let sr = slot.ok_or(RuntimeError::StreamNotRun { stream: i })??;
-        total_events += sr.events;
-        for (m, idx, prefix, truncated) in sr.violations {
-            counts[m] += 1;
-            if firsts[m].is_none() {
-                firsts[m] = Some(Counterexample {
-                    stream: i,
-                    event_index: idx,
-                    prefix,
-                    truncated,
-                });
-            }
-        }
-    }
-    let verdicts = bank
-        .monitors()
-        .iter()
-        .zip(counts)
-        .zip(firsts)
-        .map(|((meta, violating_streams), first)| MonitorVerdict {
-            requirement: meta.requirement.to_string(),
-            violating_streams,
-            first,
-        })
-        .collect();
-    drop(merge);
-    let wall = run.finish();
-    let stats = MonitorStats {
-        compile: Duration::ZERO,
-        simulate: logs.iter().map(|l| l.simulate).sum(),
-        check: logs.iter().map(|l| l.check).sum(),
-        wall,
-        events: total_events,
-        events_per_sec: total_events as f64 / wall.as_secs_f64().max(f64::EPSILON),
-        shard_events: logs.iter().map(|l| l.events).collect(),
-        threads,
-    };
-    stats.mirror_counters(&cfg.obs);
-    Ok(FleetReport {
-        verdicts,
-        streams: cfg.streams,
-        streams_completed: cfg.streams,
-        events: total_events,
-        failures: Vec::new(),
-        cancelled: false,
-        stats,
+    Err(RuntimeError::WorkerPanicked {
+        stage: FLEET_STAGE,
+        chunk: report
+            .failures
+            .first()
+            .map_or(report.streams_completed, |f| f.chunk),
     })
 }
 
@@ -550,7 +484,7 @@ pub fn run_fleet(
 ///   completed prefix, with [`FleetReport::streams_completed`] < the
 ///   requested count and `cancelled = true`.
 /// * When nothing was dropped, the report renders **bit-identically**
-///   to [`run_fleet`] for every thread count: verdicts are merged in
+///   for every supervisor and thread count: verdicts are merged in
 ///   ascending stream order regardless of which worker ran what.
 ///
 /// # Errors
@@ -575,12 +509,12 @@ pub fn run_fleet_supervised(
         .collect();
 
     let threads = cfg.threads.clamp(1, cfg.streams);
-    let outcome = supervisor.run_chunks::<(StreamResult, WorkerLog), RuntimeError, _>(
-        "fleet:stream",
+    let outcome = supervisor.run_chunks::<(StreamResult, StreamLog), RuntimeError, _>(
+        FLEET_STAGE,
         threads,
         cfg.streams,
         |i| {
-            let mut log = WorkerLog::default();
+            let mut log = StreamLog::default();
             let sr = run_stream(apa, bank, &apa_to_bank, cfg, i, root, &mut log)?;
             Ok((sr, log))
         },
@@ -645,7 +579,8 @@ pub fn run_fleet_supervised(
 }
 
 /// One-call pipeline: compile the bank for `apa` from `set`, run the
-/// fleet, and account the compile time in the report's stats.
+/// fleet ([`run_fleet`]), and account the compile time in the report's
+/// stats.
 ///
 /// # Errors
 ///
@@ -655,16 +590,12 @@ pub fn monitor_apa(
     set: &fsa_core::requirements::RequirementSet,
     cfg: &FleetConfig,
 ) -> Result<(MonitorBank, FleetReport), RuntimeError> {
-    let span = cfg.obs.span("fleet.compile");
-    let bank = MonitorBank::for_apa(set, apa)?;
-    let compile = span.finish();
-    let mut report = run_fleet(apa, &bank, cfg)?;
-    report.stats.compile = compile;
-    Ok((bank, report))
+    let (bank, report) = monitor_apa_supervised(apa, set, cfg, &Supervisor::fail_fast())?;
+    Ok((bank, fail_closed(report)?))
 }
 
-/// Like [`monitor_apa`], but driving the fleet under a [`Supervisor`]
-/// (see [`run_fleet_supervised`]).
+/// Like [`monitor_apa`], but driving the fleet under an explicit
+/// [`Supervisor`] (see [`run_fleet_supervised`]).
 ///
 /// # Errors
 ///
@@ -856,38 +787,6 @@ mod tests {
     }
 
     #[test]
-    fn supervised_fleet_matches_legacy_bit_identically() {
-        let apa = pipeline_apa();
-        let set = reqs(&[("first", "second")]);
-        for fault in [
-            None,
-            Some(Fault::Drop {
-                action: "first".into(),
-            }),
-        ] {
-            for threads in [1usize, 4] {
-                let cfg = FleetConfig {
-                    streams: 13,
-                    events_per_stream: 200,
-                    threads,
-                    fault: fault.clone(),
-                    ..FleetConfig::default()
-                };
-                let (_, legacy) = monitor_apa(&apa, &set, &cfg).unwrap();
-                let (_, sup) =
-                    monitor_apa_supervised(&apa, &set, &cfg, &Supervisor::new()).unwrap();
-                assert!(sup.is_complete());
-                assert_eq!(
-                    legacy.render(),
-                    sup.render(),
-                    "fault {fault:?} threads {threads}"
-                );
-                assert_eq!(sup.streams_completed, 13);
-            }
-        }
-    }
-
-    #[test]
     fn deadline_degrades_fleet_to_partial_with_coverage() {
         use fsa_exec::CancelToken;
         let apa = pipeline_apa();
@@ -998,6 +897,37 @@ mod tests {
         );
     }
 
+    #[cfg(feature = "chaos")]
+    #[test]
+    fn plain_fleet_fails_closed_on_a_panicked_stream() {
+        use fsa_exec::FaultPlan;
+        let apa = pipeline_apa();
+        let set = reqs(&[("first", "second")]);
+        let bank = MonitorBank::for_apa(&set, &apa).unwrap();
+        for threads in [1usize, 4] {
+            let cfg = FleetConfig {
+                streams: 8,
+                events_per_stream: 64,
+                threads,
+                ..FleetConfig::default()
+            };
+            let sup = Supervisor::fail_fast().with_fault_plan(FaultPlan::new().panic_on(
+                "fleet:stream",
+                3,
+                1,
+            ));
+            let report = run_fleet_supervised(&apa, &bank, &cfg, &sup).unwrap();
+            assert_eq!(
+                fail_closed(report).unwrap_err(),
+                RuntimeError::WorkerPanicked {
+                    stage: "fleet:stream",
+                    chunk: 3,
+                },
+                "threads {threads}"
+            );
+        }
+    }
+
     #[test]
     fn stats_are_populated() {
         let apa = pipeline_apa();
@@ -1011,6 +941,7 @@ mod tests {
         assert!(s.events > 0);
         assert!(s.events_per_sec > 0.0);
         assert_eq!(s.threads, 2);
+        assert_eq!(s.shard_events.len(), cfg.streams, "one entry per stream");
         assert_eq!(s.shard_events.iter().sum::<u64>(), s.events);
         let rendered = s.to_string();
         assert!(rendered.contains("events/sec"));

@@ -14,13 +14,13 @@
 //! 2. **Stream** ([`fleet`]): seeded [`apa::Simulator`] fleets produce
 //!    event streams (optionally mutated by deterministic
 //!    [`apa::Fault`] injection — drop, spoof-before-sense, reorder
-//!    windows), sharded across scoped threads with a deterministic
+//!    windows), one supervised chunk per stream with a deterministic
 //!    stream-order merge: violation reports are bit-identical for any
 //!    thread count.
 //! 3. **Report**: per-requirement violation counts, the first
 //!    counterexample prefix per violation, and
-//!    [`fleet::MonitorStats`] (events/sec, per-stage timings, shard
-//!    balance).
+//!    [`fleet::MonitorStats`] (events/sec, per-stage timings, events
+//!    per stream).
 //!
 //! # Examples
 //!

@@ -65,8 +65,8 @@ scenario (§4.2) and union their elicited requirements (§4.4).
                     run's census back; the instance output is
                     bit-identical to a cacheless run (not combinable
                     with --checkpoint/--resume/--distributed)
-Supervised execution (any of these selects the supervised engine; the
-output stays bit-identical to the plain engine when nothing is cut):
+Supervised execution (the output is the same with or without these
+flags when nothing is cut):
   --deadline-ms N        stop at the next batch boundary after N ms and
                          report the completed prefix (exit code 3)
   --retries N            retries per panicked worker chunk (default 2)
@@ -119,8 +119,7 @@ and check a sharded simulator fleet against it (exit 1 on violations).
   --stats          print events/sec, per-stage timings, shard balance
   --deadline-ms N  stop at the next stream boundary after N ms; a clean
                    partial report exits 3, violations still exit 1
-  --retries N      retries per panicked stream (default 2; selects the
-                   supervised fleet driver)
+  --retries N      retries per panicked stream (default 2)
   --stats-json F   write span/counter/histogram statistics (fsa-obs/v1) to F
   --trace-json F   write a chrome://tracing view of the run to F";
 
@@ -957,39 +956,76 @@ pub fn register_distributed_engine(engine: DistributedEngine) {
     let _ = DISTRIBUTED.set(engine);
 }
 
-/// Renders a completed exploration exactly as the single-process
-/// `fsa explore` does: universe header, instance lines, the threaded
-/// requirement union, and (optionally) the stats block. The distributed
-/// coordinator funnels its merged result through this same function, so
-/// distributed output is byte-identical to single-process output by
-/// construction.
+/// Renders an exploration as `fsa explore` prints it: universe header,
+/// instance lines, coverage notes of a partial run, the requirement
+/// union (elicited under `supervisor` on `threads` workers, recording
+/// its span on `obs`), and optionally the stats block. A cut run — a
+/// tripped deadline, quarantined chunks or a partial union — exits 3.
+/// The single-process, `--distributed` and `fsa coordinate` paths all
+/// print through this one function, so their outputs are byte-identical
+/// by construction.
 #[must_use]
-pub fn render_exploration(
+pub fn report_exploration(
     exploration: &fsa_core::explore::Exploration,
     max_vehicles: usize,
     all: bool,
     stats: bool,
     threads: usize,
+    supervisor: &fsa_exec::Supervisor,
+    obs: &fsa_obs::Obs,
 ) -> Rendered {
-    use fsa_core::explore::union_requirements_loop_free_threaded;
+    use fsa_core::explore::union_requirements_loop_free_supervised;
     let mut r = Rendered::success();
     write_universe_header(&mut r, exploration, max_vehicles, all);
-    match union_requirements_loop_free_threaded(&exploration.instances, threads) {
-        Ok((union, skipped)) => {
+    let s = &exploration.stats;
+    let mut partial = false;
+    if s.cancelled || (s.vectors_completed < s.vectors_total && !s.truncated) {
+        let _ = writeln!(
+            r.stdout,
+            "partial universe: vector coverage {}/{} (deadline or quarantined chunks)",
+            s.vectors_completed, s.vectors_total
+        );
+        partial = true;
+    }
+    if s.failures > 0 {
+        let _ = writeln!(
+            r.stdout,
+            "quarantined worker chunks: {} (after {} retried panic(s))",
+            s.failures, s.retries
+        );
+        partial = true;
+    }
+    match union_requirements_loop_free_supervised(&exploration.instances, threads, supervisor, obs)
+    {
+        Ok(union) => {
             let _ = writeln!(
                 r.stdout,
-                "union over the universe: {} requirement(s) ({skipped} cyclic composition(s) \
+                "union over the universe: {} requirement(s) ({} cyclic composition(s) \
                  skipped)",
-                union.len()
+                union.requirements.len(),
+                union.loop_skipped
             );
-            for req in union.iter() {
+            for req in union.requirements.iter() {
                 let _ = writeln!(r.stdout, "  {req}");
+            }
+            if !union.is_complete() {
+                let _ = writeln!(
+                    r.stdout,
+                    "partial union: elicited {}/{} instance(s){}",
+                    union.elicited,
+                    union.total,
+                    if union.cancelled { " (cancelled)" } else { "" }
+                );
+                partial = true;
             }
         }
         Err(e) => return Rendered::failure(&format!("union elicitation failed: {e}")),
     }
     if stats {
-        let _ = write!(r.stdout, "{}", exploration.stats);
+        let _ = write!(r.stdout, "{s}");
+    }
+    if partial {
+        r.exit = EXIT_PARTIAL;
     }
     r
 }
@@ -1028,10 +1064,7 @@ fn write_universe_header(
 /// union the elicited requirements (§4.4) with the streaming
 /// certificate engine.
 pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
-    use fsa_core::explore::{
-        union_requirements_loop_free_supervised, BudgetPolicy, CheckpointSpec, ExecOptions,
-        ExploreOptions,
-    };
+    use fsa_core::explore::{BudgetPolicy, CheckpointSpec, ExecOptions, ExploreOptions};
 
     if wants_help(rest) {
         return help(EXPLORE_USAGE);
@@ -1177,7 +1210,16 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
             Ok(e) => e,
             Err(e) => return Rendered::failure(&format!("distributed exploration failed: {e}")),
         };
-        let mut r = render_exploration(&exploration, max_vehicles, all, stats, threads);
+        let supervisor = fsa_exec::Supervisor::new().with_obs(obs.clone());
+        let mut r = report_exploration(
+            &exploration,
+            max_vehicles,
+            all,
+            stats,
+            threads,
+            &supervisor,
+            &obs,
+        );
         outputs.collect(&obs, &mut r);
         return r;
     }
@@ -1194,21 +1236,7 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
         cert_cache: cert_cache.map(Into::into),
         ..ExploreOptions::default()
     };
-    let supervised = deadline_ms.is_some()
-        || retries.is_some()
-        || checkpoint.is_some()
-        || resume.is_some()
-        || ctx.cancel.is_some();
     let supervisor = build_supervisor(deadline_ms, retries, ctx).with_obs(obs.clone());
-    if !supervised {
-        let exploration = match vanet::exploration::explore_scenario(max_vehicles, &options) {
-            Ok(e) => e,
-            Err(e) => return Rendered::failure(&format!("exploration failed: {e}")),
-        };
-        let mut r = render_exploration(&exploration, max_vehicles, all, stats, threads);
-        outputs.collect(&obs, &mut r);
-        return r;
-    }
     let exec = ExecOptions {
         supervisor: supervisor.clone(),
         checkpoint: checkpoint.map(|p| CheckpointSpec {
@@ -1223,59 +1251,16 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
             Ok(e) => e,
             Err(e) => return Rendered::failure(&format!("exploration failed: {e}")),
         };
-    let mut r = Rendered::success();
-    write_universe_header(&mut r, &exploration, max_vehicles, all);
-    let mut partial = exploration.stats.cancelled;
-    if exploration.stats.vectors_total > 0 {
-        if exploration.stats.vectors_completed < exploration.stats.vectors_total {
-            let _ = writeln!(
-                r.stdout,
-                "partial universe: vector coverage {}/{} (deadline or quarantined chunks)",
-                exploration.stats.vectors_completed, exploration.stats.vectors_total
-            );
-            partial = true;
-        }
-        if exploration.stats.failures > 0 {
-            let _ = writeln!(
-                r.stdout,
-                "quarantined worker chunks: {} (after {} retried panic(s))",
-                exploration.stats.failures, exploration.stats.retries
-            );
-            partial = true;
-        }
-    }
-    match union_requirements_loop_free_supervised(&exploration.instances, threads, &supervisor) {
-        Ok(union) => {
-            let _ = writeln!(
-                r.stdout,
-                "union over the universe: {} requirement(s) ({} cyclic composition(s) \
-                 skipped)",
-                union.requirements.len(),
-                union.loop_skipped
-            );
-            for req in union.requirements.iter() {
-                let _ = writeln!(r.stdout, "  {req}");
-            }
-            if !union.is_complete() {
-                let _ = writeln!(
-                    r.stdout,
-                    "partial union: elicited {}/{} instance(s){}",
-                    union.elicited,
-                    union.total,
-                    if union.cancelled { " (cancelled)" } else { "" }
-                );
-                partial = true;
-            }
-        }
-        Err(e) => return Rendered::failure(&format!("union elicitation failed: {e}")),
-    }
-    if stats {
-        let _ = write!(r.stdout, "{}", exploration.stats);
-    }
+    let mut r = report_exploration(
+        &exploration,
+        max_vehicles,
+        all,
+        stats,
+        threads,
+        &supervisor,
+        &obs,
+    );
     outputs.collect(&obs, &mut r);
-    if partial {
-        r.exit = EXIT_PARTIAL;
-    }
     r
 }
 
@@ -1544,14 +1529,8 @@ pub fn run_monitor(
         obs: obs.clone(),
         ..fsa_runtime::FleetConfig::default()
     };
-    let supervised = deadline_ms.is_some() || retries.is_some() || ctx.cancel.is_some();
-    let run = if supervised {
-        let supervisor = build_supervisor(deadline_ms, retries, ctx).with_obs(obs.clone());
-        fsa_runtime::monitor_apa_supervised(apa_ref, requirements, &cfg, &supervisor)
-    } else {
-        fsa_runtime::monitor_apa(apa_ref, requirements, &cfg)
-    };
-    match run {
+    let supervisor = build_supervisor(deadline_ms, retries, ctx).with_obs(obs.clone());
+    match fsa_runtime::monitor_apa_supervised(apa_ref, requirements, &cfg, &supervisor) {
         Ok((bank, report)) => {
             let _ = writeln!(
                 r.stdout,

@@ -129,21 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn supervised_scenario_matches_legacy() {
-        let legacy = explore_scenario(2, &ExploreOptions::default()).unwrap();
-        let sup =
-            explore_scenario_supervised(2, &ExploreOptions::default(), &ExecOptions::default())
-                .unwrap();
-        assert_eq!(legacy.instances.len(), sup.instances.len());
-        for (a, b) in legacy.instances.iter().zip(&sup.instances) {
-            assert_eq!(a.name(), b.name());
-            assert_eq!(a.graph(), b.graph());
-        }
-        assert_eq!(legacy.stats.candidates, sup.stats.candidates);
-        assert_eq!(sup.stats.vectors_completed, sup.stats.vectors_total);
-    }
-
-    #[test]
     fn growing_universe_monotone() {
         let one = enumerate_scenario_instances(1, &ExploreOptions::default()).unwrap();
         let two = enumerate_scenario_instances(2, &ExploreOptions::default()).unwrap();

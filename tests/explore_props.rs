@@ -8,12 +8,15 @@
 //! * Exploration is deterministic and *bit-identical* for every thread
 //!   count: parallelism is an implementation detail, never a semantics.
 
-use fsa::core::explore::{union_requirements_loop_free_threaded, ExploreOptions};
+use fsa::core::explore::{
+    union_requirements_loop_free, union_requirements_loop_free_supervised, ExploreOptions,
+};
+use fsa::exec::Supervisor;
 use fsa::graph::iso::{
     are_isomorphic, canonical_certificate, dedup_isomorphic, dedup_isomorphic_certified,
-    dedup_isomorphic_certified_parallel,
 };
 use fsa::graph::DiGraph;
+use fsa::obs::Obs;
 use fsa::vanet::exploration::explore_scenario;
 use proptest::prelude::*;
 
@@ -100,28 +103,13 @@ proptest! {
         let certified = dedup_isomorphic_certified(batch.clone());
         prop_assert_eq!(pairwise.len(), certified.len());
         prop_assert!(same_classes(&pairwise, &certified));
-        for threads in [1usize, 2, 4, 8] {
-            let parallel = dedup_isomorphic_certified_parallel(batch.clone(), threads);
-            // The parallel path is bit-identical to the sequential
-            // certified path (same representatives, same order), not
-            // merely class-equal.
-            prop_assert_eq!(parallel.len(), certified.len(), "threads {}", threads);
-            for (p, c) in parallel.iter().zip(certified.iter()) {
-                let pn: Vec<_> = p.nodes().map(|(_, l)| l.clone()).collect();
-                let cn: Vec<_> = c.nodes().map(|(_, l)| l.clone()).collect();
-                prop_assert_eq!(pn, cn, "threads {}", threads);
-                let pe: Vec<_> = p.edges().map(|e| (e.0, e.1)).collect();
-                let ce: Vec<_> = c.edges().map(|e| (e.0, e.1)).collect();
-                prop_assert_eq!(pe, ce, "threads {}", threads);
-            }
-        }
     }
 
     #[test]
     fn scenario_exploration_is_bit_identical_across_threads(max_vehicles in 1usize..4) {
         let seq = explore_scenario(max_vehicles, &ExploreOptions::default()).expect("sequential");
         let (seq_union, seq_skipped) =
-            union_requirements_loop_free_threaded(&seq.instances, 1).expect("union");
+            union_requirements_loop_free(&seq.instances).expect("union");
         for threads in [2usize, 4, 8] {
             let par = explore_scenario(
                 max_vehicles,
@@ -144,8 +132,12 @@ proptest! {
             }
             // Unions (and the skipped-cycle count) agree for every
             // worker count on both sides.
-            let (par_union, par_skipped) =
-                union_requirements_loop_free_threaded(&par.instances, threads).expect("union");
+            let union = union_requirements_loop_free_supervised(
+                &par.instances, threads, &Supervisor::new(), &Obs::disabled(),
+            )
+            .expect("union");
+            prop_assert!(union.is_complete());
+            let (par_union, par_skipped) = (union.requirements, union.loop_skipped);
             prop_assert_eq!(par_skipped, seq_skipped, "threads {}", threads);
             let pu: Vec<String> = par_union.iter().map(ToString::to_string).collect();
             let su: Vec<String> = seq_union.iter().map(ToString::to_string).collect();

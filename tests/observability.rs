@@ -69,6 +69,47 @@ fn stats_json_schema_is_versioned_and_key_ordered() {
     }
 }
 
+/// The value of counter `name` in an fsa-obs/v1 stats export.
+fn counter(body: &str, name: &str) -> Option<u64> {
+    let key = format!(r#"{{"name":"{name}","value":"#);
+    let rest = &body[body.find(&key)? + key.len()..];
+    rest[..rest.find('}')?].parse().ok()
+}
+
+#[test]
+fn explore_union_has_a_span_and_counters() {
+    let stats = temp("explore-union-stats.json");
+    let base = ["explore", "--max-vehicles", "2"];
+    let plain = fsa(&base);
+    let mut args = base.to_vec();
+    args.extend(["--stats-json", stats.to_str().unwrap()]);
+    let observed = fsa(&args);
+    assert_eq!(plain.status.code(), Some(0), "{plain:?}");
+    assert_eq!(observed.status.code(), Some(0), "{observed:?}");
+    assert_eq!(plain.stdout, observed.stdout);
+    let body = std::fs::read_to_string(&stats).unwrap();
+    assert!(body.contains(r#""name":"explore.union","#), "{body}");
+    // 11 connected instances, none of them cyclic (see stdout).
+    let stdout = String::from_utf8_lossy(&plain.stdout);
+    assert!(
+        stdout.starts_with("universe with 1 RSU and up to 2 vehicle(s): 11 structurally different")
+    );
+    assert!(
+        stdout.contains("(0 cyclic composition(s) skipped)"),
+        "{stdout}"
+    );
+    assert_eq!(
+        counter(&body, "explore.union.instances"),
+        Some(11),
+        "{body}"
+    );
+    assert_eq!(
+        counter(&body, "explore.union.loop_skipped"),
+        Some(0),
+        "{body}"
+    );
+}
+
 #[test]
 fn trace_json_is_chrome_tracing_with_schema_version() {
     let trace = temp("explore-trace.json");

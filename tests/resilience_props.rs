@@ -20,9 +20,8 @@ fn fingerprint(e: &Exploration) -> String {
         let _ = writeln!(out, "{} {:?}", i.name(), i.graph());
     }
     let s = &e.stats;
-    // `candidates_built` is a supervised-only counter (legacy runs
-    // leave it zero), so it is deliberately not part of the
-    // bit-identity fingerprint.
+    // `candidates_built` differs from `candidates` only on a cut run,
+    // so it is deliberately not part of the bit-identity fingerprint.
     let _ = writeln!(
         out,
         "v={} s={} o={} c={} d={} cls={}",
@@ -111,19 +110,27 @@ fn interrupt_then_resume_across_thread_counts_is_bit_identical() {
 
 #[test]
 fn supervised_union_matches_threaded_union_and_degrades_cleanly() {
-    use fsa::core::explore::union_requirements_loop_free_threaded;
+    use fsa::core::explore::union_requirements_loop_free;
+    use fsa::obs::Obs;
     let instances = explore_scenario(2, &ExploreOptions::default())
         .unwrap()
         .instances;
-    let (golden, skipped) = union_requirements_loop_free_threaded(&instances, 2).unwrap();
-    let out = union_requirements_loop_free_supervised(&instances, 2, &Supervisor::new()).unwrap();
+    let (golden, skipped) = union_requirements_loop_free(&instances).unwrap();
+    let out = union_requirements_loop_free_supervised(
+        &instances,
+        2,
+        &Supervisor::new(),
+        &Obs::disabled(),
+    )
+    .unwrap();
     assert!(out.is_complete());
     assert_eq!(out.requirements, golden);
     assert_eq!(out.loop_skipped, skipped);
 
     // An expired deadline elicits nothing but does not error.
     let sup = Supervisor::new().with_cancel(CancelToken::with_deadline(std::time::Duration::ZERO));
-    let out = union_requirements_loop_free_supervised(&instances, 2, &sup).unwrap();
+    let out =
+        union_requirements_loop_free_supervised(&instances, 2, &sup, &Obs::disabled()).unwrap();
     assert!(out.cancelled);
     assert_eq!(out.elicited, 0);
     assert!(out.requirements.is_empty());
