@@ -56,5 +56,5 @@ pub mod value;
 pub use error::ApaError;
 pub use model::{Apa, ApaBuilder, AutomatonId, ComponentId, GlobalState};
 pub use reach::{ReachGraph, ReachOptions, TransitionLabel};
-pub use sim::{Fault, Simulator};
+pub use sim::{Fault, GraphWalk, Simulator};
 pub use value::Value;

@@ -7,6 +7,12 @@
 //! behaviour automaton — a property tested against
 //! [`crate::ReachGraph::to_nfa`].
 //!
+//! [`GraphWalk`] draws the same runs from an already-built
+//! [`ReachGraph`]: a seeded walk over its flattened CSR edges picks the
+//! edge the simulator would pick, without cloning a global state or
+//! firing a rule. The runtime fleet walks the graph; `fsa simulate`
+//! keeps the simulator.
+//!
 //! [`Fault`] models trace-level attacks on the event stream a simulator
 //! produces — dropped events, spoofed events injected before their
 //! causal prerequisites, and reordering windows. Faults are applied to
@@ -18,7 +24,7 @@
 
 use crate::error::ApaError;
 use crate::model::{Apa, GlobalState};
-use crate::reach::TransitionLabel;
+use crate::reach::{ReachGraph, TransitionLabel};
 use automata::{Symbol, SymbolTable};
 use std::fmt;
 
@@ -227,7 +233,7 @@ impl<'a> Simulator<'a> {
         if successors.is_empty() {
             return Ok(None);
         }
-        let choice = (self.next_rand() as usize) % successors.len();
+        let choice = (splitmix_next(&mut self.rng_state) as usize) % successors.len();
         // `choice < successors.len()` by the modulo above, but fail
         // soft (treat as a dead state) rather than panic if the
         // invariant ever breaks.
@@ -286,14 +292,73 @@ impl<'a> Simulator<'a> {
         );
         self.trace = trace;
     }
+}
 
-    /// A split-mix style PRNG step (deterministic, dependency-free).
-    fn next_rand(&mut self) -> u64 {
-        self.rng_state = self.rng_state.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
+/// A split-mix style PRNG step (deterministic, dependency-free): the
+/// one draw both [`Simulator`] and [`GraphWalk`] use, so the two cannot
+/// pick different edges from the same seed.
+fn splitmix_next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e3779b97f4a7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
+}
+
+/// A [`ReachGraph`] flattened for seeded random walks: CSR offsets, one
+/// target state per edge and one caller-chosen event per edge.
+///
+/// [`GraphWalk::walk`] replays [`Simulator`] runs without firing a
+/// rule: the graph lists each state's outgoing edges in
+/// [`Apa::successors`] order (automata in declaration order, firings in
+/// rule order), so the same seed draws the same edge at every step.
+/// This holds for rules that are pure functions of their local state —
+/// the assumption the arena reachability kernel already makes.
+#[derive(Debug, Clone)]
+pub struct GraphWalk<T> {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    events: Vec<T>,
+}
+
+impl<T: Copy> GraphWalk<T> {
+    /// Flattens `graph`, mapping every edge label to its event with
+    /// `event` (called once per edge, in edge order).
+    pub fn new(graph: &ReachGraph, event: impl FnMut(TransitionLabel) -> T) -> Self {
+        let (offsets, targets) = graph.csr_successors();
+        GraphWalk {
+            offsets: offsets.to_vec(),
+            targets,
+            events: graph.edges().map(|(_, l, _)| l).map(event).collect(),
+        }
+    }
+
+    /// Number of states of the flattened graph.
+    pub fn state_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Walks from the initial state until a dead state or `max_steps`,
+    /// appending one event per step to `out` and returning the number
+    /// of steps — the trace of `Simulator::new(apa, seed).run(max_steps)`.
+    pub fn walk(&self, seed: u64, max_steps: usize, out: &mut Vec<T>) -> usize {
+        let mut rng = seed | 1;
+        let mut state = 0usize;
+        let mut steps = 0;
+        while steps < max_steps {
+            let (lo, hi) = (
+                self.offsets[state] as usize,
+                self.offsets[state + 1] as usize,
+            );
+            if lo == hi {
+                break;
+            }
+            let edge = lo + (splitmix_next(&mut rng) as usize) % (hi - lo);
+            out.push(self.events[edge]);
+            state = self.targets[edge] as usize;
+            steps += 1;
+        }
+        steps
     }
 }
 
@@ -459,6 +524,41 @@ mod tests {
             action: "ATK_inject".into(),
         });
         assert_eq!(sim.trace_names()[0], "ATK_inject");
+    }
+
+    #[test]
+    fn graph_walk_replays_simulator_runs() {
+        // A cyclic model (tokens shuttle between a and b forever), so
+        // the step budget, not a dead state, ends most walks.
+        let mut b = ApaBuilder::new();
+        let a = b.component("a", [Value::atom("x"), Value::atom("y")]);
+        let c = b.component("b", []);
+        b.automaton("there", [a, c], rule::move_any(0, 1));
+        b.automaton("back", [c, a], rule::move_any(0, 1));
+        let cyclic = b.build().unwrap();
+        for apa in [pipeline(), cyclic] {
+            let graph = apa.reachability(&ReachOptions::default()).unwrap();
+            let walk = GraphWalk::new(&graph, |l| l);
+            assert_eq!(walk.state_count(), graph.state_count());
+            for seed in 0..16u64 {
+                for budget in [0usize, 1, 3, 50] {
+                    let mut sim = Simulator::new(&apa, seed);
+                    let steps = sim.run(budget).unwrap();
+                    let mut trace = Vec::new();
+                    assert_eq!(walk.walk(seed, budget, &mut trace), steps);
+                    let walked: Vec<_> = trace
+                        .iter()
+                        .map(|l| (graph.name(l.automaton), graph.name(l.interpretation)))
+                        .collect();
+                    let simulated: Vec<_> = sim
+                        .trace()
+                        .iter()
+                        .map(|l| (sim.name(l.automaton), sim.name(l.interpretation)))
+                        .collect();
+                    assert_eq!(walked, simulated, "seed {seed} budget {budget}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! event). The criterion number divided into the stream length must
 //! exceed 1M events/sec single-threaded in release mode.
 //!
-//! `fleet_end_to_end` measures the full pipeline (simulate → inject →
-//! check) at 1/2/4 worker threads, whose reports are bit-identical by
-//! construction.
+//! `fleet_end_to_end` measures the full pipeline (graph build → walk →
+//! inject → check) at 1/2/4 worker threads, whose reports are
+//! bit-identical by construction.
 
-use apa::{Apa, ReachOptions};
+use apa::{Apa, GraphWalk, ReachGraph, ReachOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsa_core::assisted::{elicit_from_graph, DependenceMethod};
 use fsa_core::requirements::RequirementSet;
@@ -21,50 +21,41 @@ use std::hint::black_box;
 use vanet::apa_model::{n_pair_apa, stakeholder_of};
 use vanet::semantics::ApaSemantics;
 
-/// The six-vehicle scenario (three warner/forwarder pairs) and its
-/// elicited requirement set — the bench workload named in the issue.
-fn six_vehicle() -> (Apa, RequirementSet) {
+/// The six-vehicle scenario (three warner/forwarder pairs), its
+/// reachability graph and its elicited requirement set.
+fn six_vehicle() -> (Apa, ReachGraph, RequirementSet) {
     let apa = n_pair_apa(3, ApaSemantics::PAPER).expect("valid model");
     let graph = apa
         .reachability(&ReachOptions::default())
         .expect("finite behaviour");
     let set = elicit_from_graph(&graph, DependenceMethod::Precedence, stakeholder_of).requirements;
     assert!(!set.is_empty(), "six-vehicle model elicits requirements");
-    (apa, set)
+    (apa, graph, set)
 }
 
 /// A long honest event stream for the bank, pre-mapped to bank
-/// symbols: simulator episodes concatenated until `len` events.
-fn honest_stream(apa: &Apa, bank: &MonitorBank, len: usize) -> Vec<u32> {
+/// symbols: seeded walks over the graph (the fleet's runs), at most
+/// 4 096 events each, concatenated until `len` events.
+fn honest_stream(graph: &ReachGraph, bank: &MonitorBank, len: usize) -> Vec<u32> {
+    let walk = GraphWalk::new(graph, |l| bank.event_symbol(graph.name(l.automaton)));
     let mut events = Vec::with_capacity(len);
     let mut seed = 0x6_5EED;
     while events.len() < len {
-        let mut sim = apa::sim::Simulator::new(apa, seed);
-        let steps = sim.run(4096).expect("honest run");
-        if steps == 0 {
-            seed += 1;
-            continue;
-        }
-        for label in sim.trace() {
-            events.push(bank.event_symbol(sim.symbols().name(label.automaton)));
-            if events.len() == len {
-                break;
-            }
-        }
+        walk.walk(seed, (len - events.len()).min(4096), &mut events);
         seed += 1;
     }
     events
 }
 
 fn bench_monitoring(c: &mut Criterion) {
-    let (apa, set) = six_vehicle();
+    let (apa, graph, set) = six_vehicle();
     let bank = MonitorBank::for_apa(&set, &apa).expect("compiles");
 
     // Acceptance criterion: fused-bank throughput on a pre-generated
     // stream (pure check stage, single thread).
     let mut group = c.benchmark_group("monitoring");
     const STREAM: usize = 1 << 16;
-    let events = honest_stream(&apa, &bank, STREAM);
+    let events = honest_stream(&graph, &bank, STREAM);
     group.bench_function(
         BenchmarkId::new("bank_feed", format!("{}mon", bank.len())),
         |b| {
@@ -81,8 +72,8 @@ fn bench_monitoring(c: &mut Criterion) {
         b.iter(|| black_box(MonitorBank::for_apa(black_box(&set), &apa).expect("compiles")))
     });
 
-    // End-to-end fleet (simulate + inject + check) across worker
-    // counts; the per-thread reports are bit-identical.
+    // End-to-end fleet (graph build + walk + inject + check) across
+    // worker counts; the per-thread reports are bit-identical.
     for threads in [1usize, 2, 4] {
         let cfg = FleetConfig {
             streams: 8,

@@ -27,16 +27,29 @@ pub struct CancelToken(Arc<Inner>);
 struct Inner {
     flag: AtomicBool,
     deadline: Option<Instant>,
+    /// The wall-clock budget `deadline` was set with, for
+    /// [`CancelToken::restarted`].
+    budget: Option<Duration>,
     /// Remaining checks before the countdown trips; negative = disabled.
     countdown: AtomicI64,
+    /// The countdown the token started with; negative = disabled.
+    checks: i64,
 }
 
 impl Default for Inner {
     fn default() -> Self {
+        Inner::new(None, -1)
+    }
+}
+
+impl Inner {
+    fn new(budget: Option<Duration>, checks: i64) -> Self {
         Inner {
             flag: AtomicBool::new(false),
-            deadline: None,
-            countdown: AtomicI64::new(-1),
+            deadline: budget.map(|b| Instant::now() + b),
+            budget,
+            countdown: AtomicI64::new(checks),
+            checks,
         }
     }
 }
@@ -52,11 +65,7 @@ impl CancelToken {
     /// now).
     #[must_use]
     pub fn with_deadline(deadline: Duration) -> Self {
-        CancelToken(Arc::new(Inner {
-            flag: AtomicBool::new(false),
-            deadline: Some(Instant::now() + deadline),
-            countdown: AtomicI64::new(-1),
-        }))
+        CancelToken(Arc::new(Inner::new(Some(deadline), -1)))
     }
 
     /// A token that trips once the absolute `deadline` instant has
@@ -66,22 +75,31 @@ impl CancelToken {
     /// bounded session queue counts against the budget.
     #[must_use]
     pub fn with_deadline_at(deadline: Instant) -> Self {
-        CancelToken(Arc::new(Inner {
-            flag: AtomicBool::new(false),
-            deadline: Some(deadline),
-            countdown: AtomicI64::new(-1),
-        }))
+        CancelToken(Arc::new(Inner::new(
+            Some(deadline.saturating_duration_since(Instant::now())),
+            -1,
+        )))
     }
 
     /// A token that trips after `checks` calls to
     /// [`CancelToken::is_cancelled`] (each check consumes one tick).
     #[must_use]
     pub fn countdown(checks: u64) -> Self {
-        CancelToken(Arc::new(Inner {
-            flag: AtomicBool::new(false),
-            deadline: None,
-            countdown: AtomicI64::new(i64::try_from(checks).unwrap_or(i64::MAX)),
-        }))
+        CancelToken(Arc::new(Inner::new(
+            None,
+            i64::try_from(checks).unwrap_or(i64::MAX),
+        )))
+    }
+
+    /// A fresh, untripped token with the budget this one started with:
+    /// the same deadline length measured again from now, and the same
+    /// countdown. A manual [`CancelToken::cancel`] is not carried over,
+    /// so a token without a deadline or countdown restarts as one that
+    /// never trips on its own. A run that a deadline cut uses it to
+    /// bound a follow-up step over the completed prefix.
+    #[must_use]
+    pub fn restarted(&self) -> Self {
+        CancelToken(Arc::new(Inner::new(self.0.budget, self.0.checks)))
     }
 
     /// Trips the token manually. Idempotent.
@@ -154,6 +172,27 @@ mod tests {
         assert!(t.is_cancelled(), "a deadline in the past trips at once");
         let t = CancelToken::with_deadline_at(Instant::now() + Duration::from_secs(3600));
         assert!(!t.is_cancelled());
+    }
+
+    #[test]
+    fn restarted_token_keeps_the_budget_not_the_trip() {
+        let t = CancelToken::with_deadline(Duration::ZERO);
+        assert!(t.is_cancelled());
+        assert!(t.restarted().is_cancelled(), "a zero budget restarts spent");
+        let t = CancelToken::with_deadline(Duration::from_secs(3600));
+        t.cancel();
+        let r = t.restarted();
+        assert!(!r.is_cancelled(), "the restarted deadline is an hour away");
+        assert!(r.0.deadline.is_some());
+        let t = CancelToken::countdown(1);
+        assert!(!t.is_cancelled());
+        assert!(t.is_cancelled());
+        let r = t.restarted();
+        assert!(!r.is_cancelled());
+        assert!(r.is_cancelled(), "the countdown restarts at 1");
+        let t = CancelToken::new();
+        t.cancel();
+        assert!(!t.restarted().is_cancelled_peek());
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Driving monitor banks from simulator fleets.
 //!
-//! A *fleet* is a set of independent event streams, each produced by a
-//! seeded [`apa::Simulator`] over the same APA (restarted
-//! episode-by-episode until the stream's event quota is met — the
-//! precedence monitors latch `SEEN`, so concatenating honest episodes
-//! never fabricates violations). Each stream is one chunk of the
-//! `fleet:stream` stage of a [`Supervisor`], and the per-stream results
-//! are merged in stream order, so the violation report is
+//! A *fleet* is a set of independent event streams, each a seeded run
+//! of the same APA (restarted episode-by-episode until the stream's
+//! event quota is met — the precedence monitors latch `SEEN`, so
+//! concatenating honest episodes never fabricates violations). The
+//! runs are seeded walks over the APA's reachability graph
+//! ([`apa::GraphWalk`]), built once per fleet; they pick exactly the
+//! edges an [`apa::Simulator`] would. Each stream is one chunk of the
+//! `fleet:stream` stage of a [`Supervisor`], and the per-stream
+//! results are merged in stream order, so the violation report is
 //! **bit-identical for every thread count** — the same discipline as
 //! the dependence grid and the exploration engine.
 //!
@@ -18,8 +20,8 @@
 
 use crate::bank::{BankRun, MonitorBank, VIOLATED};
 use crate::error::RuntimeError;
-use apa::sim::{Fault, Simulator};
-use apa::Apa;
+use apa::sim::{Fault, GraphWalk};
+use apa::{Apa, ReachOptions};
 use fsa_exec::{ChunkFailure, Supervisor};
 use fsa_obs::Obs;
 use std::fmt;
@@ -46,11 +48,12 @@ pub struct FleetConfig {
     pub prefix_limit: usize,
     /// Observability handle. [`Obs::disabled`] (the default) records
     /// nothing and costs one branch per probe; an enabled handle gets
-    /// the `fleet` root span, per-stream `fleet.simulate`/`fleet.check`
-    /// spans + histograms, the `fleet.merge` span, and the `fleet.*`
-    /// counters mirrored from [`MonitorStats`]. The [`Supervisor`]
-    /// records its `supervisor.*` series through its own handle; point
-    /// both at the same registry for a unified trace.
+    /// the `fleet` root span, the `fleet.graph` span with its
+    /// `fleet.graph.states` counter, per-stream `fleet.simulate`/`fleet.check` spans + histograms,
+    /// the `fleet.merge` span, and the `fleet.*` counters mirrored from
+    /// [`MonitorStats`]. The [`Supervisor`] records its `supervisor.*`
+    /// series through its own handle; point both at the same registry
+    /// for a unified trace.
     pub obs: Obs,
 }
 
@@ -134,6 +137,9 @@ pub struct MonitorStats {
     /// Time to compile the bank (filled by [`monitor_apa`]; zero when
     /// the bank was compiled elsewhere).
     pub compile: Duration,
+    /// Time to build and flatten the reachability graph the streams
+    /// walk.
+    pub graph: Duration,
     /// Summed per-stream time spent simulating.
     pub simulate: Duration,
     /// Summed per-stream time spent in the fused check loop.
@@ -157,6 +163,7 @@ impl fmt::Display for MonitorStats {
         if !self.compile.is_zero() {
             writeln!(f, "  compile          {:>12?}", self.compile)?;
         }
+        writeln!(f, "  graph build      {:>12?}", self.graph)?;
         writeln!(f, "  simulate (sum)   {:>12?}", self.simulate)?;
         writeln!(f, "  check (sum)      {:>12?}", self.check)?;
         writeln!(f, "  wall             {:>12?}", self.wall)?;
@@ -175,10 +182,10 @@ impl fmt::Display for MonitorStats {
 impl MonitorStats {
     /// Reconstructs the stats from an observability
     /// [`Snapshot`](fsa_obs::Snapshot) of a single fleet run — the
-    /// struct is a *view* over the snapshot: `compile`, `simulate`,
-    /// `check` and `wall` come from the `fleet.compile` /
-    /// `fleet.simulate` / `fleet.check` / `fleet` span totals,
-    /// everything else from the mirrored `fleet.*` counters
+    /// struct is a *view* over the snapshot: `compile`, `graph`,
+    /// `simulate`, `check` and `wall` come from the `fleet.compile` /
+    /// `fleet.graph` / `fleet.simulate` / `fleet.check` / `fleet` span
+    /// totals, everything else from the mirrored `fleet.*` counters
     /// (`events_per_sec` is derived with the same formula the live
     /// path uses). Only meaningful when the registry observed exactly
     /// one run.
@@ -199,6 +206,7 @@ impl MonitorStats {
             })?;
         Ok(MonitorStats {
             compile: snapshot.span_total("fleet.compile"),
+            graph: snapshot.span_total("fleet.graph"),
             simulate: snapshot.span_total("fleet.simulate"),
             check: snapshot.span_total("fleet.check"),
             wall,
@@ -342,9 +350,8 @@ fn derive_seed(seed: u64, stream: u64, episode: u64) -> u64 {
 /// what keeps [`MonitorStats`] identical whether or not observability
 /// is enabled.
 fn run_stream(
-    apa: &Apa,
+    walk: &GraphWalk<u32>,
     bank: &MonitorBank,
-    apa_to_bank: &[u32],
     cfg: &FleetConfig,
     stream: usize,
     root: Option<u64>,
@@ -355,16 +362,14 @@ fn run_stream(
     let mut events: Vec<u32> = Vec::with_capacity(cfg.events_per_stream);
     let mut episode = 0u64;
     while events.len() < cfg.events_per_stream {
-        let mut sim = Simulator::new(apa, derive_seed(cfg.seed, stream as u64, episode));
-        let steps = sim
-            .run(cfg.events_per_stream - events.len())
-            .map_err(|e| RuntimeError::Simulation(e.to_string()))?;
+        let steps = walk.walk(
+            derive_seed(cfg.seed, stream as u64, episode),
+            cfg.events_per_stream - events.len(),
+            &mut events,
+        );
         if steps == 0 {
             break; // the model is quiet from its initial state
         }
-        // `Simulator::new` interns automaton names first, so
-        // `label.automaton.index()` *is* the elementary-automaton index.
-        events.extend(sim.trace().iter().map(|l| apa_to_bank[l.automaton.index()]));
         episode += 1;
     }
     // --- Inject the fault (deterministic trace transform). -----------
@@ -487,11 +492,15 @@ fn fail_closed(report: FleetReport) -> Result<FleetReport, RuntimeError> {
 ///   for every supervisor and thread count: verdicts are merged in
 ///   ascending stream order regardless of which worker ran what.
 ///
+/// The streams walk the APA's reachability graph, built once here
+/// under [`ReachOptions::default`], the bound every caller has
+/// already built it under to elicit the requirements.
+///
 /// # Errors
 ///
 /// * [`RuntimeError::NoStreams`] if `cfg.streams == 0`.
-/// * [`RuntimeError::Simulation`] if an underlying APA step fails
-///   (application errors are deterministic and are not retried).
+/// * [`RuntimeError::Simulation`] if the reachability graph cannot be
+///   built (state limit or a malformed rule).
 pub fn run_fleet_supervised(
     apa: &Apa,
     bank: &MonitorBank,
@@ -508,6 +517,18 @@ pub fn run_fleet_supervised(
         .map(|n| bank.event_symbol(n))
         .collect();
 
+    let span = cfg.obs.span("fleet.graph");
+    let reach = apa
+        .reachability(&ReachOptions::default())
+        .map_err(|e| RuntimeError::Simulation(e.to_string()))?;
+    // `reachability` interns automaton names first, so
+    // `label.automaton.index()` *is* the automaton index.
+    let walk = GraphWalk::new(&reach, |l| apa_to_bank[l.automaton.index()]);
+    drop(reach); // the streams need only the flat arrays
+    let graph = span.finish();
+    cfg.obs
+        .counter_add("fleet.graph.states", walk.state_count() as u64);
+
     let threads = cfg.threads.clamp(1, cfg.streams);
     let outcome = supervisor.run_chunks::<(StreamResult, StreamLog), RuntimeError, _>(
         FLEET_STAGE,
@@ -515,7 +536,7 @@ pub fn run_fleet_supervised(
         cfg.streams,
         |i| {
             let mut log = StreamLog::default();
-            let sr = run_stream(apa, bank, &apa_to_bank, cfg, i, root, &mut log)?;
+            let sr = run_stream(&walk, bank, cfg, i, root, &mut log)?;
             Ok((sr, log))
         },
     )?;
@@ -558,6 +579,7 @@ pub fn run_fleet_supervised(
     let wall = run.finish();
     let stats = MonitorStats {
         compile: Duration::ZERO,
+        graph,
         simulate: logs.iter().map(|l| l.simulate).sum(),
         check: logs.iter().map(|l| l.check).sum(),
         wall,
@@ -975,15 +997,17 @@ mod tests {
         assert_eq!(format!("{view}"), format!("{}", observed.stats));
         assert_eq!(view.shard_events, observed.stats.shard_events);
 
-        // Span inventory: one root, one compile, one merge, one
-        // simulate + check pair per stream.
+        // Span inventory: one root, one compile, one graph build, one
+        // merge, one simulate + check pair per stream.
         assert_eq!(snap.span_count("fleet"), 1);
         assert_eq!(snap.span_count("fleet.compile"), 1);
+        assert_eq!(snap.span_count("fleet.graph"), 1);
         assert_eq!(snap.span_count("fleet.merge"), 1);
         assert_eq!(snap.span_count("fleet.simulate"), cfg.streams);
         assert_eq!(snap.span_count("fleet.check"), cfg.streams);
         assert_eq!(snap.counter("fleet.events"), Some(observed.events));
         assert_eq!(snap.counter("fleet.threads"), Some(2));
+        assert_eq!(snap.counter("fleet.graph.states"), Some(9));
         let h = snap.histogram("fleet.check").unwrap();
         assert_eq!(h.count, cfg.streams as u64);
 
@@ -995,6 +1019,54 @@ mod tests {
             .iter()
             .filter(|s| s.name == "fleet.simulate" || s.name == "fleet.check")
             .all(|s| s.parent == Some(root_id)));
+        let graph = snap.spans.iter().find(|s| s.name == "fleet.graph").unwrap();
+        assert_eq!(graph.parent, Some(root_id));
+    }
+
+    /// `bad` fires a successor of the wrong arity once a token reaches
+    /// `c2`, so the reachability graph cannot be built: the fleet fails
+    /// with the build error before any stream runs.
+    #[test]
+    fn malformed_rule_fails_the_graph_build() {
+        use apa::rule::{LocalState, TransitionRule};
+        struct Bad;
+        impl TransitionRule for Bad {
+            fn fire(&self, local: &LocalState) -> Vec<(String, LocalState)> {
+                if local[0].is_empty() {
+                    Vec::new()
+                } else {
+                    vec![("bad".into(), Vec::new())]
+                }
+            }
+        }
+        let mut b = ApaBuilder::new();
+        let c0 = b.component("c0", [Value::atom("x"), Value::atom("y")]);
+        let c1 = b.component("c1", []);
+        let c2 = b.component("c2", []);
+        b.automaton("first", [c0, c1], rule::move_any(0, 1));
+        b.automaton("second", [c1, c2], rule::move_any(0, 1));
+        b.automaton("bad", [c2], Box::new(Bad));
+        let apa = b.build().unwrap();
+        let want = apa
+            .reachability(&ReachOptions::default())
+            .unwrap_err()
+            .to_string();
+        assert!(want.contains("bad"), "{want}");
+
+        let set = reqs(&[("first", "second")]);
+        for threads in [1usize, 4] {
+            let obs = Obs::enabled();
+            let cfg = FleetConfig {
+                threads,
+                obs: obs.clone(),
+                ..FleetConfig::default()
+            };
+            let err = monitor_apa(&apa, &set, &cfg).unwrap_err();
+            assert_eq!(err, RuntimeError::Simulation(want.clone()));
+            let snap = obs.snapshot();
+            assert_eq!(snap.span_count("fleet.simulate"), 0);
+            assert_eq!(snap.counter("fleet.graph.states"), None);
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!    fused into a single flat `u32` transition table with per-monitor
 //!    violation latches — advancing the bank on an event is one linear
 //!    sweep over a dense state vector.
-//! 2. **Stream** ([`fleet`]): seeded [`apa::Simulator`] fleets produce
-//!    event streams (optionally mutated by deterministic
+//! 2. **Stream** ([`fleet`]): seeded walks over the APA's reachability
+//!    graph ([`apa::GraphWalk`], the same runs an [`apa::Simulator`]
+//!    draws) produce event streams (optionally mutated by deterministic
 //!    [`apa::Fault`] injection — drop, spoof-before-sense, reorder
 //!    windows), one supervised chunk per stream with a deterministic
 //!    stream-order merge: violation reports are bit-identical for any

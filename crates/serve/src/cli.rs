@@ -68,7 +68,9 @@ scenario (§4.2) and union their elicited requirements (§4.4).
 Supervised execution (the output is the same with or without these
 flags when nothing is cut):
   --deadline-ms N        stop at the next batch boundary after N ms and
-                         report the completed prefix (exit code 3)
+                         report the completed prefix (exit code 3); the
+                         union of that prefix then runs under a fresh
+                         deadline of N ms
   --retries N            retries per panicked worker chunk (default 2)
   --checkpoint F         write crash-safe (atomic) checkpoints to F
   --checkpoint-every N   candidates built between checkpoints (default 256)
@@ -961,6 +963,11 @@ pub fn register_distributed_engine(engine: DistributedEngine) {
 /// union (elicited under `supervisor` on `threads` workers, recording
 /// its span on `obs`), and optionally the stats block. A cut run — a
 /// tripped deadline, quarantined chunks or a partial union — exits 3.
+/// When the cancel token already cut the enumeration, the union of the
+/// completed prefix is elicited under the same retry policy and a
+/// restarted token ([`fsa_exec::CancelToken::restarted`]): the expired
+/// one would elicit nothing, and the restarted one bounds the union by
+/// the same deadline again.
 /// The single-process, `--distributed` and `fsa coordinate` paths all
 /// print through this one function, so their outputs are byte-identical
 /// by construction.
@@ -995,8 +1002,17 @@ pub fn report_exploration(
         );
         partial = true;
     }
-    match union_requirements_loop_free_supervised(&exploration.instances, threads, supervisor, obs)
-    {
+    let fresh = s.cancelled.then(|| {
+        let cancel = supervisor.cancel.restarted();
+        supervisor.clone().with_cancel(cancel)
+    });
+    let union_supervisor = fresh.as_ref().unwrap_or(supervisor);
+    match union_requirements_loop_free_supervised(
+        &exploration.instances,
+        threads,
+        union_supervisor,
+        obs,
+    ) {
         Ok(union) => {
             let _ = writeln!(
                 r.stdout,

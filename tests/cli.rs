@@ -310,6 +310,37 @@ fn explore_expired_deadline_degrades_to_partial_exit_3() {
     assert!(stdout.contains("vector coverage"), "{stdout}");
 }
 
+/// A deadline that cuts enumeration must not also empty the union: the
+/// requirements of the completed prefix are elicited under a fresh
+/// deadline of the same length and reported, and the run still exits 3
+/// with the partial-universe note. (Five vehicles under a huge budget
+/// take far longer than the deadline to enumerate; the small vectors
+/// finish well within it.)
+#[test]
+fn explore_deadline_cut_still_reports_the_prefix_union() {
+    let out = fsa(&[
+        "explore",
+        "--max-vehicles",
+        "5",
+        "--budget",
+        "100000000",
+        "--deadline-ms",
+        "300",
+    ]);
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("partial universe: vector coverage"),
+        "{stdout}"
+    );
+    let union = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("union over the universe: "))
+        .expect("union line");
+    let n: usize = union.split(' ').next().unwrap().parse().unwrap();
+    assert!(n >= 1, "{union}");
+}
+
 #[test]
 fn explore_resume_from_corrupt_checkpoint_fails_cleanly() {
     let ck = temp_checkpoint("corrupt");

@@ -3,10 +3,11 @@
 //! *bit-identical* to the retained legacy oracles on random inputs —
 //! same states, same edges, same interned symbols, same verdicts, same
 //! rendered requirements, for every dependence method, prune setting
-//! and thread count. A faster kernel that disagrees with its oracle on
-//! one random APA is a bug, not an optimisation.
+//! and thread count — and the fleet's graph walk must replay the
+//! on-the-fly simulator's traces. A faster kernel that disagrees with
+//! its oracle on one random APA is a bug, not an optimisation.
 
-use fsa::apa::{rule, Apa, ApaBuilder, ReachOptions, Value};
+use fsa::apa::{rule, Apa, ApaBuilder, GraphWalk, ReachOptions, Simulator, Value};
 use fsa::core::assisted::{elicit_with_options, DependenceMethod, ElicitOptions};
 use fsa::core::explore::ExploreOptions;
 use fsa::core::Agent;
@@ -128,6 +129,33 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn graph_walk_replays_the_on_the_fly_simulator(
+        apa in arb_apa(),
+        seed in any::<u64>(),
+        steps in 0usize..16,
+    ) {
+        let graph = apa.reachability(&ReachOptions::default()).expect("arena");
+        let walk = GraphWalk::new(&graph, |l| l);
+        let mut walked = Vec::new();
+        let walked_steps = walk.walk(seed, steps, &mut walked);
+        let mut sim = Simulator::new(&apa, seed);
+        let simulated_steps = sim.run(steps).expect("simulator");
+        prop_assert_eq!(walked_steps, simulated_steps);
+        // Symbol numbers may differ between the two tables; the names
+        // they resolve to may not.
+        let w: Vec<(&str, &str)> = walked
+            .iter()
+            .map(|l| (graph.name(l.automaton), graph.name(l.interpretation)))
+            .collect();
+        let s: Vec<(&str, &str)> = sim
+            .trace()
+            .iter()
+            .map(|l| (sim.name(l.automaton), sim.name(l.interpretation)))
+            .collect();
+        prop_assert_eq!(w, s, "seed {} steps {}", seed, steps);
     }
 }
 

@@ -160,6 +160,21 @@ fn monitor_exports_fleet_and_supervisor_series() {
     ] {
         assert!(body.contains(name), "{name} missing: {body}");
     }
+    // The graph the streams walk is built once, under the fleet root.
+    let (fleet, _) = span_ids(&body, "fleet").expect("fleet span");
+    let (_, parent) = span_ids(&body, "fleet.graph").expect("fleet.graph span");
+    assert_eq!(parent, fleet, "fleet.graph parents under fleet: {body}");
+    assert_eq!(body.matches(r#""name":"fleet.graph","#).count(), 1);
+    assert!(counter(&body, "fleet.graph.states") > Some(0), "{body}");
+}
+
+/// `(id, parent)` of the first span named `name` in an fsa-obs/v1
+/// export, as written.
+fn span_ids(body: &str, name: &str) -> Option<(String, String)> {
+    let at = body.find(&format!(r#","name":"{name}","tid":"#))?;
+    let start = body[..at].rfind(r#"{"id":"#)? + r#"{"id":"#.len();
+    let (id, parent) = body[start..at].split_once(r#","parent":"#)?;
+    Some((id.to_owned(), parent.to_owned()))
 }
 
 #[test]
